@@ -36,12 +36,12 @@ from .errors import (
 from .fixed_loci import fixed_locus_components, intersection_support
 from .model import ModuliSpec, load_spec, moduli_dimension, spec_to_mapping
 from .oracles import (
-    PARTITION_LIMIT,
     brute_force_order_census,
     brute_force_partition_census,
     check_dimension_identity,
     check_dominance_pairing,
     enforce_oracle_guardrails,
+    enforce_partition_guardrail,
 )
 from .partitions import compute_orbit_section, count_partitions, enumerate_partitions
 from .shifts import degree_shift, eigenvalue_multiplicities
@@ -88,15 +88,6 @@ def _exit_code_for(exc: ParorbError) -> int:
     return 1
 
 
-def _enforce_partition_guardrail(spec: ModuliSpec) -> None:
-    worst = count_partitions(spec.rank, spec.rank, spec.num_points)
-    if worst > PARTITION_LIMIT:
-        raise GuardrailExceeded(
-            "|P(alpha)| reaches %d at m = %d, over the %d limit"
-            % (worst, spec.rank, PARTITION_LIMIT)
-        )
-
-
 def _census_section(spec: ModuliSpec) -> dict:
     r, g = spec.rank, spec.genus
     return {
@@ -124,7 +115,7 @@ def _components_section(spec: ModuliSpec) -> dict:
 
 
 def _shifts_section(spec: ModuliSpec) -> dict:
-    _enforce_partition_guardrail(spec)
+    enforce_partition_guardrail(spec)
     rows = []
     for m in divisors(spec.rank):
         if m == 1:
@@ -149,7 +140,7 @@ def _shifts_section(spec: ModuliSpec) -> dict:
 
 
 def _cr_table_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
-    _enforce_partition_guardrail(spec)
+    enforce_partition_guardrail(spec)
     try:
         untwisted = provider.lookup(spec.genus, spec.rank, spec.num_points)
         flag = "included"

@@ -92,8 +92,9 @@ def validate_moduli_spec(raw: ModuliSpec | Mapping[str, Any]) -> ModuliSpec:
 
     Accepts either an existing ModuliSpec or a plain mapping with the keys
     genus, rank, degree, weights, and optionally num_points, higgs,
-    assume_generic (weights may be "p/q" strings).  Validating an already
-    valid spec returns an equal spec.
+    assume_generic (weights may be "p/q" strings; higgs and assume_generic
+    must be booleans; any other key is a ParseError).  Validating an
+    already valid spec returns an equal spec.
     """
     spec = raw if isinstance(raw, ModuliSpec) else _spec_from_mapping(raw)
 
@@ -103,6 +104,10 @@ def validate_moduli_spec(raw: ModuliSpec | Mapping[str, Any]) -> ModuliSpec:
         raise ParseError("rank must be an integer, got %r" % (spec.rank,))
     if not isinstance(spec.degree, int) or isinstance(spec.degree, bool):
         raise ParseError("degree must be an integer, got %r" % (spec.degree,))
+    for flag in ("higgs", "assume_generic"):
+        value = getattr(spec, flag)
+        if not isinstance(value, bool):
+            raise ParseError("%s must be true or false, got %r" % (flag, value))
     if spec.rank < 2:
         raise ParseError("rank must be at least 2, got %d" % spec.rank)
     if spec.genus < 2:
@@ -132,12 +137,19 @@ def validate_moduli_spec(raw: ModuliSpec | Mapping[str, Any]) -> ModuliSpec:
     return spec
 
 
+_REQUIRED_KEYS = ("genus", "rank", "degree", "weights")
+_OPTIONAL_KEYS = ("num_points", "higgs", "assume_generic")
+
+
 def _spec_from_mapping(raw: Mapping[str, Any]) -> ModuliSpec:
     if not isinstance(raw, Mapping):
         raise ParseError("spec must be a JSON object, got %r" % type(raw).__name__)
-    missing = [k for k in ("genus", "rank", "degree", "weights") if k not in raw]
+    missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ParseError("spec is missing key(s): %s" % ", ".join(missing))
+    unknown = sorted(str(k) for k in raw if k not in _REQUIRED_KEYS + _OPTIONAL_KEYS)
+    if unknown:
+        raise ParseError("spec has unknown key(s): %s" % ", ".join(unknown))
     weights_raw = raw["weights"]
     if not isinstance(weights_raw, (list, tuple)):
         raise ParseError("weights must be an array of arrays")
@@ -158,8 +170,8 @@ def _spec_from_mapping(raw: Mapping[str, Any]) -> ModuliSpec:
         rank=raw["rank"],
         degree=raw["degree"],
         weights=tuple(weights),
-        higgs=bool(raw.get("higgs", False)),
-        assume_generic=bool(raw.get("assume_generic", True)),
+        higgs=raw.get("higgs", False),
+        assume_generic=raw.get("assume_generic", True),
     )
 
 

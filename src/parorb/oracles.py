@@ -133,9 +133,17 @@ def enforce_oracle_guardrails(spec: ModuliSpec) -> None:
             "r^(2g) = %d exceeds the census guardrail %d"
             % (r ** (2 * g), CENSUS_LIMIT)
         )
-    worst = count_partitions(r, r, spec.num_points)
+    enforce_partition_guardrail(spec)
+
+
+def enforce_partition_guardrail(spec: ModuliSpec) -> None:
+    """Refuse a spec whose largest partition family, at m = r, is too big.
+
+    Shared by oracle mode and the CLI's shifts and cr_table sections.
+    """
+    worst = count_partitions(spec.rank, spec.rank, spec.num_points)
     if worst > PARTITION_LIMIT:
         raise GuardrailExceeded(
             "|P(alpha)| = %d at m = %d exceeds the partition guardrail %d"
-            % (worst, r, PARTITION_LIMIT)
+            % (worst, spec.rank, PARTITION_LIMIT)
         )

@@ -4,8 +4,14 @@ For a rank r divisible by m, each marked point's r weights are split into an
 ordered tuple of m blocks of size l = r/m.  A tuple of such splittings, one
 per point, is a WeightPartition.  The cyclic rotation of block positions
 (diagonally across all points) is a free action, so orbits have size exactly
-m; compute_orbit_section picks the lexicographically least member of every
-orbit as its representative.
+m; the lexicographically least member of an orbit is its representative.
+
+Weights within a point are distinct, so every combinatorial quantity depends
+only on their ranks 0..r-1, and the least rotation is always the one that
+puts point 0's smallest weight into block 0 (that block is the only one
+starting with the smallest weight).  compute_orbit_section therefore
+enumerates exactly those partitions, and orbit_canonical only has to find
+which block holds that weight.
 
 Blocks are kept internally sorted, so comparisons and representatives are
 deterministic: partitions compare by (point index, block index, block
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator
@@ -57,6 +62,50 @@ class PointPartition:
     def block_size(self) -> int:
         return len(self.blocks[0])
 
+    @classmethod
+    def _from_labels(
+        cls, ranked: tuple[Fraction, ...], label_blocks: tuple[tuple[int, ...], ...]
+    ) -> PointPartition:
+        """The partition whose block j holds the weights ranked[k], k in
+        label_blocks[j]; its dominance vector is counted on the labels."""
+        point = cls(tuple(tuple(ranked[k] for k in block) for block in label_blocks))
+        blk = [0] * len(ranked)
+        for j, block in enumerate(label_blocks):
+            for k in block:
+                blk[k] = j
+        object.__setattr__(point, "_dominance", _dominance_of_labelling(blk, point.m))
+        return point
+
+    def dominance_vector(self) -> tuple[int, ...]:
+        """Entry i counts the pairs a > b with b in the block i places after a's.
+
+        Computed once per object and kept.  Weights within a point must be
+        distinct: the count runs on their ranks.
+        """
+        try:
+            return self._dominance  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
+        labelled = sorted((w, j) for j, block in enumerate(self.blocks) for w in block)
+        if any(x[0] == y[0] for x, y in zip(labelled, labelled[1:])):
+            raise ValueError("weights within a point must be distinct")
+        vector = _dominance_of_labelling([j for _, j in labelled], self.m)
+        object.__setattr__(self, "_dominance", vector)
+        return vector
+
+
+def _dominance_of_labelling(blk: list[int], m: int) -> tuple[int, ...]:
+    """Entry i counts the label pairs b < a with blk[b] == blk[a] + i (mod m).
+
+    blk[k] is the block holding the k-th smallest weight; one pass over the
+    r(r-1)/2 pairs gives every i at once.
+    """
+    counts = [0] * m
+    for a, blk_a in enumerate(blk):
+        for blk_b in blk[:a]:
+            counts[(blk_b - blk_a) % m] += 1
+    return tuple(counts)
+
 
 @dataclass(frozen=True, order=True)
 class WeightPartition:
@@ -91,6 +140,16 @@ class WeightPartition:
     def num_points(self) -> int:
         return len(self.per_point)
 
+    def dominance_vector(self) -> tuple[int, ...]:
+        """Sum of the per-point dominance vectors; entry i is C_t(i)."""
+        try:
+            return self._dominance  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
+        vector = tuple(map(sum, zip(*(p.dominance_vector() for p in self.per_point))))
+        object.__setattr__(self, "_dominance", vector)
+        return vector
+
     def to_mapping(self) -> list:
         from .arith import format_rational
 
@@ -122,19 +181,17 @@ def count_partitions(r: int, m: int, s: int) -> int:
     return per_point ** s
 
 
-def _ordered_block_partitions(
-    weights: Iterable[Fraction], m: int
-) -> Iterator[tuple[tuple[Fraction, ...], ...]]:
-    """Ordered partitions of distinct sorted weights into m equal blocks.
+def _ordered_block_partitions(items: Iterable, m: int) -> Iterator[tuple[tuple, ...]]:
+    """Ordered partitions of distinct sorted items into m equal blocks.
 
     Yields block tuples in lexicographic order (blocks themselves sorted);
     block order matters, so all m! arrangements of a given set partition
-    appear.
+    appear.  Items are weights or their integer labels.
     """
-    items = tuple(weights)
+    items = tuple(items)
     l = len(items) // m
 
-    def rec(remaining: tuple[Fraction, ...]) -> Iterator[tuple]:
+    def rec(remaining: tuple) -> Iterator[tuple]:
         if len(remaining) == l:
             yield (remaining,)
             return
@@ -147,6 +204,20 @@ def _ordered_block_partitions(
     return rec(items)
 
 
+def _point_partitions(
+    weights: Iterable[Fraction], m: int, anchored: bool = False
+) -> Iterator[PointPartition]:
+    """One point's ordered block partitions, ascending, built from labels.
+
+    Label k is the k-th smallest weight.  anchored keeps only the partitions
+    with label 0, the smallest weight, in block 0.
+    """
+    ranked = tuple(sorted(weights))
+    for label_blocks in _ordered_block_partitions(range(len(ranked)), m):
+        if not anchored or label_blocks[0][0] == 0:
+            yield PointPartition._from_labels(ranked, label_blocks)
+
+
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
     """Stream every weight partition of spec's weights into m blocks per point.
 
@@ -156,14 +227,8 @@ def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
     """
     if m < 1 or spec.rank % m:
         raise NotADivisor("m = %r does not divide rank = %r" % (m, spec.rank))
-    head_stream = (
-        PointPartition(blocks) for blocks in _ordered_block_partitions(spec.weights[0], m)
-    )
-    tail_lists = [
-        [PointPartition(blocks) for blocks in _ordered_block_partitions(point, m)]
-        for point in spec.weights[1:]
-    ]
-    for head in head_stream:
+    tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
+    for head in _point_partitions(spec.weights[0], m):
         if not tail_lists:
             yield WeightPartition((head,))
         else:
@@ -202,17 +267,17 @@ def galois_rotate(t: WeightPartition, i: int) -> WeightPartition:
     )
 
 
-@lru_cache(maxsize=1 << 15)
 def orbit_canonical(t: WeightPartition) -> tuple[WeightPartition, int]:
     """Lexicographically least rotation of t, plus the rotation amount that
-    recovers t from it: galois_rotate(rep, amount) == t."""
+    recovers t from it: galois_rotate(rep, amount) == t.
+
+    The least rotation brings the point-0 block holding point 0's smallest
+    weight to position 0, so finding that block is all the work.
+    """
     m = t.m
-    best, best_i = t, 0
-    for i in range(1, m):
-        cand = galois_rotate(t, i)
-        if cand < best:
-            best, best_i = cand, i
-    return best, (m - best_i) % m
+    blocks = t.per_point[0].blocks
+    j = min(range(m), key=lambda k: blocks[k][0])
+    return galois_rotate(t, j), (m - j) % m
 
 
 @dataclass(frozen=True)
@@ -251,55 +316,29 @@ class OrbitSection:
 
 
 def compute_orbit_section(spec: ModuliSpec, m: int) -> OrbitSection:
-    """Enumerate all partitions, grouped into rotation orbits of size m.
+    """One representative per rotation orbit, without visiting the others.
 
-    Works on integer indices into per-point partition tables (with
-    precomputed rotation tables), so the full sweep costs O(total * m)
-    small-tuple operations; WeightPartition objects are only built for the
-    representatives.
+    Each point's ordered block partitions are enumerated once over its
+    weight labels 0..r-1 (label k is the k-th smallest weight).  At point 0
+    only the partitions with label 0 in block 0 are kept: those are exactly
+    the least members of their orbits, and the product over points of these
+    per-point lists yields them in ascending order.  PointPartition objects,
+    and so their dominance vectors, are shared between the representatives
+    that use them.
     """
     if m < 1 or spec.rank % m:
         raise NotADivisor("m = %r does not divide rank = %r" % (m, spec.rank))
 
-    point_tables = []  # per point: list of block tuples, ascending
-    rotation_tables = []  # per point: rotation_tables[p][idx][i] = rotated idx
-    for point in spec.weights:
-        parts = list(_ordered_block_partitions(point, m))
-        index = {blocks: k for k, blocks in enumerate(parts)}
-        rots = [
-            tuple(
-                index[tuple(blocks[(j + i) % m] for j in range(m))]
-                for i in range(m)
-            )
-            for blocks in parts
-        ]
-        point_tables.append(parts)
-        rotation_tables.append(rots)
+    per_point = [
+        list(_point_partitions(point, m, anchored=p == 0))
+        for p, point in enumerate(spec.weights)
+    ]
+    representatives = tuple(WeightPartition(combo) for combo in product(*per_point))
 
-    reps: set[tuple[int, ...]] = set()
-    total = 0
-    for combo in product(*(range(len(parts)) for parts in point_tables)):
-        total += 1
-        rows = tuple(rotation_tables[p][idx] for p, idx in enumerate(combo))
-        best = combo
-        for i in range(1, m):
-            cand = tuple(row[i] for row in rows)
-            if cand < best:
-                best = cand
-        reps.add(best)
-
-    if len(reps) * m != total:
+    total = count_partitions(spec.rank, m, spec.num_points)
+    if len(representatives) * m != total:
         raise AssertionError(
             "rotation orbits are not all of size %d: %d reps, %d partitions"
-            % (m, len(reps), total)
+            % (m, len(representatives), total)
         )
-
-    representatives = tuple(
-        WeightPartition(
-            tuple(
-                PointPartition(point_tables[p][idx]) for p, idx in enumerate(combo)
-            )
-        )
-        for combo in sorted(reps)
-    )
     return OrbitSection(m=m, partition_count=total, representatives=representatives)

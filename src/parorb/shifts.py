@@ -18,7 +18,6 @@ holds exactly for every partition.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,13 +34,14 @@ from .partitions import WeightPartition, orbit_canonical
 from .torsion import TorsionElement, element_order, spectral_cover_data
 
 
-@lru_cache(maxsize=1 << 15)
 def dominance_count(t: WeightPartition, i: int) -> int:
     """C_t(i): dominating weight pairs between each block and its i-shift.
 
     Sums over all points and all block positions j the number of pairs
-    (a, b) with a in block j, b in block j+i (mod m), and a > b.  Weights
-    within a point are distinct, so no tie-breaking is ever needed.
+    (a, b) with a in block j, b in block j+i (mod m), and a > b.  A lookup
+    into t.dominance_vector(): each point's vector holds C(i) for every i at
+    once and is computed a single time per PointPartition object, which
+    enumerations share across the partitions they yield.
 
     >>> from fractions import Fraction as F
     >>> from .partitions import PointPartition
@@ -53,16 +53,7 @@ def dominance_count(t: WeightPartition, i: int) -> int:
     m = t.m
     if not 1 <= i <= m - 1:
         raise IndexOutOfRange("rotation index %r outside 1..%d" % (i, m - 1))
-    count = 0
-    for point in t.per_point:
-        blocks = point.blocks
-        for j in range(m):
-            upper = blocks[j]
-            lower = blocks[(j + i) % m]
-            # blocks are sorted, so "b < a" pairs count via one bisection per a
-            for a in upper:
-                count += bisect_left(lower, a)
-    return count
+    return t.dominance_vector()[i]
 
 
 def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
@@ -125,9 +116,10 @@ def _multiplicity_table(
     spec: ModuliSpec, m: int, t: WeightPartition
 ) -> EigenvalueMultiplicityTable:
     # depends on eta only through m, so sweeps over many same-order
-    # elements hit this cache instead of recounting dominance pairs
+    # elements hit this cache instead of rebuilding the table
     base = spec.rank * spec.rank * (spec.genus - 1) // m
-    table = {i: base + dominance_count(t, i) for i in range(1, m)}
+    counts = t.dominance_vector()
+    table = {i: base + counts[i] for i in range(1, m)}
     return EigenvalueMultiplicityTable(
         m=m, multiplicities=table, dimension=moduli_dimension(spec)
     )

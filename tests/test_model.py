@@ -97,6 +97,50 @@ def test_mapping_missing_key_rejected():
         validate_moduli_spec({"genus": 3, "rank": 2, "degree": 1})
 
 
+MINIMAL = {"genus": 3, "rank": 2, "degree": 1, "weights": [["1/4", "3/4"]]}
+
+
+@pytest.mark.parametrize("flag", ["higgs", "assume_generic"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_mapping_flags_must_be_booleans(flag, value):
+    # bool("false") is True: the flag must not be coerced
+    with pytest.raises(ParseError) as info:
+        validate_moduli_spec({**MINIMAL, flag: value})
+    assert flag in str(info.value)
+
+
+def test_mapping_flags_accept_booleans():
+    spec = validate_moduli_spec({**MINIMAL, "higgs": True, "assume_generic": False})
+    assert spec.higgs is True and spec.assume_generic is False
+    spec = validate_moduli_spec(MINIMAL)
+    assert spec.higgs is False and spec.assume_generic is True
+
+
+def test_spec_instance_flags_must_be_booleans():
+    with pytest.raises(ParseError):
+        validate_moduli_spec(make(higgs="false"))
+
+
+@pytest.mark.parametrize("key", ["higg", "Higgs", "comment"])
+def test_mapping_unknown_key_rejected(key):
+    with pytest.raises(ParseError) as info:
+        validate_moduli_spec({**MINIMAL, key: 1})
+    assert key in str(info.value)
+
+
+def test_misspelled_flag_with_string_value_rejected(tmp_path):
+    # the two faults together used to load as higgs=True
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**MINIMAL, "higgs": "false", "higg": 1}), encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_spec(str(path))
+
+
+def test_echoed_spec_validates_again():
+    spec = validate_moduli_spec(MINIMAL)
+    assert validate_moduli_spec(spec_to_mapping(spec)) == spec
+
+
 def test_mapping_num_points_consistency():
     raw = {
         "genus": 3,

@@ -110,6 +110,62 @@ def test_orbit_section_covers_everything_freely():
             assert found == rep and amount == 0
 
 
+def uneven_spec(r, s, seed):
+    """Unevenly spaced weights with assorted denominators, different per point."""
+    rng = random.Random(seed)
+    weights = []
+    for _ in range(s):
+        chosen = set()
+        while len(chosen) < r:
+            q = rng.randint(r + 1, 97)
+            chosen.add(Fraction(rng.randrange(q), q))
+        weights.append(tuple(sorted(chosen)))
+    return ModuliSpec(genus=2, rank=r, degree=1, weights=tuple(weights))
+
+
+def brute_force_representatives(spec, m):
+    return tuple(
+        sorted(
+            {min(galois_rotate(t, i) for i in range(m)) for t in enumerate_partitions(spec, m)}
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "r, m, s", [(4, 2, 2), (6, 2, 2), (6, 3, 2), (6, 6, 1), (3, 3, 3), (5, 5, 1)]
+)
+def test_orbit_section_equals_brute_force_orbit_minima(r, m, s):
+    spec = uneven_spec(r, s, seed=100 * r + 10 * m + s)
+    assert len(set(spec.weights)) == s  # the points carry different weights
+    section = compute_orbit_section(spec, m)
+    assert section.representatives == brute_force_representatives(spec, m)
+    assert section.partition_count == count_partitions(r, m, s)
+
+
+def test_orbit_canonical_equals_brute_force_minimum():
+    spec = uneven_spec(6, 2, seed=632)
+    for t in enumerate_partitions(spec, 3):
+        rep, amount = orbit_canonical(t)
+        assert rep == min(galois_rotate(t, i) for i in range(3))
+        assert galois_rotate(rep, amount) == t
+
+
+def test_labelled_dominance_vector_equals_weight_sorted_one():
+    # enumerations count each vector on the weight labels; rebuilding the
+    # same blocks from the weights must count the same
+    spec = uneven_spec(6, 2, seed=662)
+    for m in (2, 3, 6):
+        for t in itertools.islice(enumerate_partitions(spec, m), 500):
+            for point in t.per_point:
+                assert PointPartition(point.blocks).dominance_vector() == point.dominance_vector()
+
+
+def test_dominance_vector_needs_distinct_weights():
+    tied = PointPartition(((Fraction(1, 4),), (Fraction(1, 4),)))
+    with pytest.raises(ValueError):
+        tied.dominance_vector()
+
+
 def test_orbit_section_locate_inverts_rotation():
     spec = spec_for(6, 1)
     section = compute_orbit_section(spec, 3)

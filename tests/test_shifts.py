@@ -75,6 +75,26 @@ def test_dominance_matches_naive_scan():
                 assert dominance_count(t, i) == naive_dominance(t, i)
 
 
+def test_dominance_with_shared_point_partitions():
+    # the per-point vector is kept on the PointPartition object, so one
+    # object reused across many partitions must count right in each of them
+    point_a = twelfths(1, 3, 4, 7, 9, 11)
+    point_b = twelfths(0, 2, 5, 6, 8, 10)
+    rng = random.Random(4141)
+    for m in (2, 3, 6):
+        l = 6 // m
+        shared = PointPartition(random_blocks(rng, point_a, m, l))
+        for _ in range(30):
+            other = PointPartition(random_blocks(rng, point_b, m, l))
+            for t in (
+                WeightPartition((shared, other)),
+                WeightPartition((other, shared)),
+                WeightPartition((shared, shared, other)),
+            ):
+                for i in range(1, m):
+                    assert dominance_count(t, i) == naive_dominance(t, i)
+
+
 def test_dominance_rejects_out_of_range_index():
     with pytest.raises(IndexOutOfRange):
         dominance_count(EXAMPLE_T, 0)
