@@ -62,25 +62,13 @@ class PointPartition:
     def block_size(self) -> int:
         return len(self.blocks[0])
 
-    @classmethod
-    def _from_labels(
-        cls, ranked: tuple[Fraction, ...], label_blocks: tuple[tuple[int, ...], ...]
-    ) -> PointPartition:
-        """The partition whose block j holds the weights ranked[k], k in
-        label_blocks[j]; its dominance vector is counted on the labels."""
-        point = cls(tuple(tuple(ranked[k] for k in block) for block in label_blocks))
-        blk = [0] * len(ranked)
-        for j, block in enumerate(label_blocks):
-            for k in block:
-                blk[k] = j
-        object.__setattr__(point, "_dominance", _dominance_of_labelling(blk, point.m))
-        return point
-
     def dominance_vector(self) -> tuple[int, ...]:
         """Entry i counts the pairs a > b with b in the block i places after a's.
 
-        Computed once per object and kept.  Weights within a point must be
-        distinct: the count runs on their ranks.
+        Read off the block of each weight in ascending order (the point's
+        labelling) and count over those labels, once per object; enumerations
+        share PointPartition objects, so the vector is kept.  Weights within
+        a point must be distinct: the count runs on their ranks.
         """
         try:
             return self._dominance  # type: ignore[attr-defined]
@@ -89,22 +77,16 @@ class PointPartition:
         labelled = sorted((w, j) for j, block in enumerate(self.blocks) for w in block)
         if any(x[0] == y[0] for x, y in zip(labelled, labelled[1:])):
             raise ValueError("weights within a point must be distinct")
-        vector = _dominance_of_labelling([j for _, j in labelled], self.m)
+        # blk[k] is the block of the k-th smallest weight; one pass over the
+        # r(r-1)/2 label pairs b < a gives every i at once
+        blk = [j for _, j in labelled]
+        counts = [0] * self.m
+        for a, blk_a in enumerate(blk):
+            for blk_b in blk[:a]:
+                counts[(blk_b - blk_a) % self.m] += 1
+        vector = tuple(counts)
         object.__setattr__(self, "_dominance", vector)
         return vector
-
-
-def _dominance_of_labelling(blk: list[int], m: int) -> tuple[int, ...]:
-    """Entry i counts the label pairs b < a with blk[b] == blk[a] + i (mod m).
-
-    blk[k] is the block holding the k-th smallest weight; one pass over the
-    r(r-1)/2 pairs gives every i at once.
-    """
-    counts = [0] * m
-    for a, blk_a in enumerate(blk):
-        for blk_b in blk[:a]:
-            counts[(blk_b - blk_a) % m] += 1
-    return tuple(counts)
 
 
 @dataclass(frozen=True, order=True)
@@ -181,17 +163,19 @@ def count_partitions(r: int, m: int, s: int) -> int:
     return per_point ** s
 
 
-def _ordered_block_partitions(items: Iterable, m: int) -> Iterator[tuple[tuple, ...]]:
-    """Ordered partitions of distinct sorted items into m equal blocks.
+def _ordered_block_partitions(
+    weights: Iterable[Fraction], m: int
+) -> Iterator[tuple[tuple[Fraction, ...], ...]]:
+    """Ordered partitions of distinct sorted weights into m equal blocks.
 
     Yields block tuples in lexicographic order (blocks themselves sorted);
     block order matters, so all m! arrangements of a given set partition
-    appear.  Items are weights or their integer labels.
+    appear.
     """
-    items = tuple(items)
+    items = tuple(weights)
     l = len(items) // m
 
-    def rec(remaining: tuple) -> Iterator[tuple]:
+    def rec(remaining: tuple[Fraction, ...]) -> Iterator[tuple]:
         if len(remaining) == l:
             yield (remaining,)
             return
@@ -207,15 +191,14 @@ def _ordered_block_partitions(items: Iterable, m: int) -> Iterator[tuple[tuple, 
 def _point_partitions(
     weights: Iterable[Fraction], m: int, anchored: bool = False
 ) -> Iterator[PointPartition]:
-    """One point's ordered block partitions, ascending, built from labels.
+    """One point's ordered block partitions, ascending.
 
-    Label k is the k-th smallest weight.  anchored keeps only the partitions
-    with label 0, the smallest weight, in block 0.
+    anchored keeps only the partitions with the smallest weight in block 0.
     """
-    ranked = tuple(sorted(weights))
-    for label_blocks in _ordered_block_partitions(range(len(ranked)), m):
-        if not anchored or label_blocks[0][0] == 0:
-            yield PointPartition._from_labels(ranked, label_blocks)
+    ranked = sorted(weights)
+    for blocks in _ordered_block_partitions(ranked, m):
+        if not anchored or blocks[0][0] == ranked[0]:
+            yield PointPartition(blocks)
 
 
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
@@ -318,11 +301,10 @@ class OrbitSection:
 def compute_orbit_section(spec: ModuliSpec, m: int) -> OrbitSection:
     """One representative per rotation orbit, without visiting the others.
 
-    Each point's ordered block partitions are enumerated once over its
-    weight labels 0..r-1 (label k is the k-th smallest weight).  At point 0
-    only the partitions with label 0 in block 0 are kept: those are exactly
-    the least members of their orbits, and the product over points of these
-    per-point lists yields them in ascending order.  PointPartition objects,
+    Each point's ordered block partitions are enumerated once.  At point 0
+    only the partitions with the smallest weight in block 0 are kept: those
+    are exactly the least members of their orbits, and the product over
+    points of these per-point lists yields them in ascending order.  PointPartition objects,
     and so their dominance vectors, are shared between the representatives
     that use them.
     """

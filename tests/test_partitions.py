@@ -150,16 +150,6 @@ def test_orbit_canonical_equals_brute_force_minimum():
         assert galois_rotate(rep, amount) == t
 
 
-def test_labelled_dominance_vector_equals_weight_sorted_one():
-    # enumerations count each vector on the weight labels; rebuilding the
-    # same blocks from the weights must count the same
-    spec = uneven_spec(6, 2, seed=662)
-    for m in (2, 3, 6):
-        for t in itertools.islice(enumerate_partitions(spec, m), 500):
-            for point in t.per_point:
-                assert PointPartition(point.blocks).dominance_vector() == point.dominance_vector()
-
-
 def test_dominance_vector_needs_distinct_weights():
     tied = PointPartition(((Fraction(1, 4),), (Fraction(1, 4),)))
     with pytest.raises(ValueError):
