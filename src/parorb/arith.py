@@ -62,10 +62,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in prime_factors(n).values())
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and list(prime_factors(n)) == [n]
-
-
 # --- exact rational serialization ------------------------------------------
 
 def parse_rational(text: str) -> Fraction:

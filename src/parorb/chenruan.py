@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
-from .arith import divisors, format_rational, is_prime
+from .arith import divisors, format_rational
 from .errors import IdentityElement, ModulusMismatch, ParseError, TableMissing
 from .fixed_loci import fixed_locus_components
 from .model import ModuliSpec, moduli_dimension
@@ -33,10 +33,9 @@ from .partitions import WeightPartition, compute_orbit_section
 from .shifts import DegreeShift, degree_shift, _require_shift_hypotheses
 from .torsion import (
     TorsionElement,
+    _equal_order_distinct_subgroups,
     canonical_element_of_order,
     count_elements_of_order,
-    cyclic_subgroup_equal,
-    element_order,
     spectral_cover_data,
 )
 
@@ -527,9 +526,10 @@ def pairing_support(
 def product_support(eta1: TorsionElement, eta2: TorsionElement) -> ProductSupport:
     """Is the product of the two twisted sectors forced to vanish?
 
-    ForcedZero when the orders agree but the cyclic subgroups differ, and —
-    for a prime modulus — whenever eta1 lies outside the subgroup generated
-    by eta2.  Unknown otherwise: only a partial description is available.
+    ForcedZero when the orders agree but the cyclic subgroups differ.  For
+    a prime modulus that already covers every eta1 outside the subgroup
+    generated by eta2, since all non-identity elements then share the order
+    p.  Unknown otherwise: only a partial description is available.
     """
     if eta1.modulus != eta2.modulus:
         raise ModulusMismatch(
@@ -537,12 +537,6 @@ def product_support(eta1: TorsionElement, eta2: TorsionElement) -> ProductSuppor
         )
     if eta1.is_identity or eta2.is_identity:
         raise IdentityElement("product support rule needs non-identity elements")
-    if element_order(eta1) == element_order(eta2) and not cyclic_subgroup_equal(
-        eta1, eta2
-    ):
-        return ProductSupport.FORCED_ZERO
-    if is_prime(eta1.modulus) and not any(
-        eta2.scale(k) == eta1 for k in range(element_order(eta2))
-    ):
+    if _equal_order_distinct_subgroups(eta1, eta2):
         return ProductSupport.FORCED_ZERO
     return ProductSupport.UNKNOWN

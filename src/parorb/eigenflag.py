@@ -3,10 +3,13 @@
 Given a diagonalizable operator that maps every step of a full flag into
 itself, there is a basis of eigenvectors v_1, ..., v_r with
 span(v_1..v_j) = V_j for every j.  flag_compatible_eigenbasis constructs
-one deterministically: at each step it takes the smallest eigenvalue whose
-eigenspace meets V_j outside V_{j-1}, intersects the eigenspace with V_j,
-and picks the lexicographically least row of the intersection's reduced
-echelon basis.
+one deterministically.  In flag coordinates the operator is an upper
+triangular U, so an eigenvector in V_j outside V_{j-1} must have the
+eigenvalue U_jj: it is read off the diagonal, not searched for.  The
+eigenvectors inside V_j are the kernel of the leading j-block of
+U - U_jj·I, lifted by the flag vectors; the step takes the
+lexicographically least row of their reduced echelon basis that lies
+outside V_{j-1}.
 
 All arithmetic is exact.  Entries may be any exact field type supporting
 +, -, *, /, ==, and a total order, mixed with the ints 0 and 1; ints and
@@ -21,7 +24,6 @@ from fractions import Fraction
 
 from .errors import FlagNotFull, FlagNotPreserved, NotDiagonalizable
 
-Vector = tuple
 Matrix = tuple
 
 
@@ -69,20 +71,6 @@ def _row_reduce(rows):
     return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
 
 
-def _reduce_vector(rref_rows, pivots, vector):
-    """Remainder of vector after elimination against an RREF basis."""
-    residual = list(vector)
-    for row, col in zip(rref_rows, pivots):
-        factor = residual[col]
-        if factor != 0:
-            residual = [a - factor * b for a, b in zip(residual, row)]
-    return tuple(residual)
-
-
-def _is_zero_vector(vector) -> bool:
-    return all(x == 0 for x in vector)
-
-
 def _nullspace(rows):
     """Canonical basis of the right kernel, one vector per free column."""
     rref_rows, pivots = _row_reduce(rows)
@@ -100,47 +88,11 @@ def _nullspace(rows):
     return basis
 
 
-def _mat_vec(matrix, vector):
-    return tuple(sum(a * x for a, x in zip(row, vector)) for row in matrix)
-
-
 def _mat_mul(left, right):
     cols = tuple(zip(*right))
     return tuple(
         tuple(sum(a * x for a, x in zip(row, col)) for col in cols) for row in left
     )
-
-
-def _solve_square(coeff_rows, rhs_rows):
-    """X with coeff·X = rhs, for invertible coeff (rank checked upstream)."""
-    n = len(coeff_rows)
-    augmented = [
-        tuple(coeff_rows[i]) + tuple(rhs_rows[i]) for i in range(n)
-    ]
-    reduced, pivots = _row_reduce(augmented)
-    if tuple(pivots) != tuple(range(n)):
-        raise AssertionError("coefficient matrix unexpectedly singular")
-    return tuple(row[n:] for row in reduced)
-
-
-def _intersection_basis(rref_a, rref_b):
-    """RREF basis of span(rref_a) ∩ span(rref_b)."""
-    if not rref_a or not rref_b:
-        return ()
-    width = len(rref_a[0])
-    columns = list(rref_a) + [tuple(-x for x in row) for row in rref_b]
-    # stack as a width x (|a|+|b|) system: combinations summing to zero
-    system = [tuple(col[i] for col in columns) for i in range(width)]
-    spanning = []
-    for coeffs in _nullspace(system):
-        vec = [Fraction(0)] * width
-        for c, row in zip(coeffs[: len(rref_a)], rref_a):
-            if c != 0:
-                vec = [v + c * x for v, x in zip(vec, row)]
-        if not _is_zero_vector(vec):
-            spanning.append(tuple(vec))
-    reduced, _ = _row_reduce(spanning)
-    return reduced
 
 
 # === the operator and the construction ======================================
@@ -180,7 +132,8 @@ def flag_compatible_eigenbasis(op: FlaggedOperator):
 
     Raises FlagNotFull when the flag is not a complete independent chain,
     FlagNotPreserved when some step is not mapped into itself, and
-    NotDiagonalizable when the eigenspaces do not fill the space (minimal
+    NotDiagonalizable at the first step that no eigenvector extends, which
+    happens exactly when the eigenspaces do not fill the space (minimal
     polynomial not squarefree; a preserved full flag already forces it to
     split).
 
@@ -198,73 +151,46 @@ def flag_compatible_eigenbasis(op: FlaggedOperator):
         raise FlagNotFull(
             "need exactly %d flag vectors of length %d" % (r, r)
         )
-    flag_rref, _ = _row_reduce(flag)
-    if len(flag_rref) != r:
-        raise FlagNotFull("flag vectors are linearly dependent")
 
-    # conjugate into the flag basis; triangularity == flag preservation
-    w_columns = tuple(tuple(flag[j][i] for j in range(r)) for i in range(r))
-    conjugated = _solve_square(w_columns, _mat_mul(matrix, w_columns))
+    # W has the flag vectors as columns; one reduction of [W | A·W | I]
+    # yields U = W⁻¹·A·W, the operator in flag coordinates, and W⁻¹
+    w = tuple(zip(*flag))
+    aw = _mat_mul(matrix, w)
+    reduced, pivots = _row_reduce(
+        [w[i] + aw[i] + tuple(int(i == k) for k in range(r)) for i in range(r)]
+    )
+    if pivots[:r] != tuple(range(r)):
+        raise FlagNotFull("flag vectors are linearly dependent")
+    upper = [row[r : 2 * r] for row in reduced]
+    w_inverse = [row[2 * r :] for row in reduced]
+    # triangularity == flag preservation
     for i in range(r):
         for j in range(i):
-            if conjugated[i][j] != 0:
+            if upper[i][j] != 0:
                 raise FlagNotPreserved(
                     "flag step %d is not mapped into itself" % (j + 1)
                 )
 
-    eigenvalues = []
-    for value in (conjugated[i][i] for i in range(r)):
-        if not any(value == seen for seen in eigenvalues):
-            eigenvalues.append(value)
-    eigenvalues.sort()
-
-    eigenspaces = {}
-    total = 0
-    for value in eigenvalues:
-        shifted = tuple(
-            tuple(matrix[i][j] - (value if i == j else 0) for j in range(r))
-            for i in range(r)
-        )
-        basis, _ = _row_reduce(_nullspace(shifted))
-        eigenspaces[value] = basis
-        total += len(basis)
-    if total != r:
-        raise NotDiagonalizable(
-            "eigenspaces span dimension %d of %d (minimal polynomial "
-            "not squarefree)" % (total, r)
-        )
-
-    # prefix RREF bases of V_0 ⊂ V_1 ⊂ ... ⊂ V_r, computed once
-    prefixes = [((), ())]
-    for j in range(1, r + 1):
-        prefixes.append(_row_reduce(flag[:j]))
-
     chosen = []
-    for j in range(1, r + 1):
-        step_rref, step_pivots = prefixes[j]
-        prev_rref, prev_pivots = prefixes[j - 1]
-        found = None
-        for value in eigenvalues:
-            basis = eigenspaces[value]
-            if len(basis) == 1:
-                inside = _is_zero_vector(
-                    _reduce_vector(step_rref, step_pivots, basis[0])
-                )
-                meet = basis if inside else ()
-            else:
-                meet = _intersection_basis(step_rref, basis)
-            candidates = [
-                row
-                for row in meet
-                if not _is_zero_vector(_reduce_vector(prev_rref, prev_pivots, row))
-            ]
-            if candidates:
-                found = min(candidates)
-                break
-        if found is None:
-            raise AssertionError(
-                "no eigenvector extends flag step %d; invariant checks "
-                "should have caught this" % j
+    for j in range(r):
+        value = upper[j][j]
+        block = [
+            [upper[i][k] - (value if i == k else 0) for k in range(j + 1)]
+            for i in range(j + 1)
+        ]
+        lifted = [
+            tuple(sum(c * vec[i] for c, vec in zip(coeffs, flag)) for i in range(r))
+            for coeffs in _nullspace(block)
+        ]
+        meet, _ = _row_reduce(lifted)
+        # a row lies outside V_j iff its j-th flag coordinate is nonzero
+        candidates = [
+            row for row in meet if sum(a * x for a, x in zip(w_inverse[j], row)) != 0
+        ]
+        if not candidates:
+            raise NotDiagonalizable(
+                "no eigenvector extends flag step %d (minimal polynomial "
+                "not squarefree)" % (j + 1)
             )
-        chosen.append(found)
+        chosen.append(min(candidates))
     return chosen

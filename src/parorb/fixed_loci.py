@@ -14,11 +14,10 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_prime
 from .errors import IdentityElement, ModulusMismatch
 from .model import ModuliSpec
 from .partitions import count_partitions
-from .torsion import TorsionElement, cyclic_subgroup_equal, element_order
+from .torsion import TorsionElement, _equal_order_distinct_subgroups, element_order
 
 
 @dataclass(frozen=True)
@@ -95,21 +94,16 @@ class IntersectionSupport(enum.Enum):
     POSSIBLY_NONEMPTY = "possibly_nonempty"
 
 
-def _member_of_cyclic(candidate: TorsionElement, generator: TorsionElement) -> bool:
-    return any(
-        generator.scale(k) == candidate for k in range(element_order(generator))
-    )
-
-
 def intersection_support(
     eta: TorsionElement, tau: TorsionElement
 ) -> IntersectionSupport:
     """Can the fixed loci of eta and tau meet?
 
     ForcedEmpty when both have the same order but generate different cyclic
-    subgroups; for a prime modulus additionally whenever tau lies outside
-    the subgroup generated by eta.  Everything else is PossiblyNonempty (no
-    claim is made for unequal orders).  Symmetric in its arguments.
+    subgroups.  For a prime modulus that already covers every tau outside
+    the subgroup generated by eta, since all non-identity elements then
+    share the order p.  Everything else is PossiblyNonempty (no claim is
+    made for unequal orders).  Symmetric in its arguments.
     """
     if eta.modulus != tau.modulus:
         raise ModulusMismatch(
@@ -117,10 +111,6 @@ def intersection_support(
         )
     if eta.is_identity or tau.is_identity:
         raise IdentityElement("intersection test needs non-identity elements")
-    if element_order(eta) == element_order(tau) and not cyclic_subgroup_equal(eta, tau):
-        return IntersectionSupport.FORCED_EMPTY
-    if is_prime(eta.modulus) and not _member_of_cyclic(tau, eta):
-        # prime modulus: membership is symmetric (both subgroups have prime
-        # order), so this branch preserves symmetry of the classification
+    if _equal_order_distinct_subgroups(eta, tau):
         return IntersectionSupport.FORCED_EMPTY
     return IntersectionSupport.POSSIBLY_NONEMPTY

@@ -80,15 +80,6 @@ def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
     return m
 
 
-def _check_partition_shape(spec: ModuliSpec, m: int, t: WeightPartition) -> None:
-    if t.m != m:
-        raise ValueError(
-            "partition has %d blocks per point, element order is %d" % (t.m, m)
-        )
-    if t.num_points != spec.num_points or t.block_size * t.m != spec.rank:
-        raise ValueError("partition shape does not match the moduli description")
-
-
 @dataclass(frozen=True)
 class EigenvalueMultiplicityTable:
     """Multiplicities of the nontrivial eigenvalues on the tangent space.
@@ -116,7 +107,14 @@ def _multiplicity_table(
     spec: ModuliSpec, m: int, t: WeightPartition
 ) -> EigenvalueMultiplicityTable:
     # depends on eta only through m, so sweeps over many same-order
-    # elements hit this cache instead of rebuilding the table
+    # elements hit this cache instead of rebuilding the table; the shape
+    # is checked on a miss only, and a raise is never cached
+    if t.m != m:
+        raise ValueError(
+            "partition has %d blocks per point, element order is %d" % (t.m, m)
+        )
+    if t.num_points != spec.num_points or t.block_size * t.m != spec.rank:
+        raise ValueError("partition shape does not match the moduli description")
     base = spec.rank * spec.rank * (spec.genus - 1) // m
     counts = t.dominance_vector()
     table = {i: base + counts[i] for i in range(1, m)}
@@ -135,7 +133,6 @@ def eigenvalue_multiplicities(
     non-Higgs mode.
     """
     m = _require_shift_hypotheses(spec, eta)
-    _check_partition_shape(spec, m, t)
     return _multiplicity_table(spec, m, t)
 
 
@@ -177,7 +174,6 @@ def degree_shift(
     Fraction(56, 3)
     """
     m = _require_shift_hypotheses(spec, eta)
-    _check_partition_shape(spec, m, t)
     value, representative = _shift_value_and_representative(spec, m, t)
     return DegreeShift(value=value, eta=eta, orbit_representative=representative)
 

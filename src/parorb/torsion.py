@@ -31,8 +31,12 @@ class TorsionElement:
                 "exponent vector must have even positive length 2g, got %d"
                 % len(self.exponents)
             )
+        exponents = tuple(int(e) % self.modulus for e in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
+        # the order is kept outside the dataclass fields, so ==, hash and
+        # repr still see only (modulus, exponents)
         object.__setattr__(
-            self, "exponents", tuple(int(e) % self.modulus for e in self.exponents)
+            self, "_order", self.modulus // gcd(self.modulus, *exponents)
         )
 
     @property
@@ -61,15 +65,14 @@ class TorsionElement:
 def element_order(eta: TorsionElement) -> int:
     """Exact order of eta: modulus / gcd(modulus, all exponents).
 
+    Computed once, when the element is constructed.
+
     >>> element_order(TorsionElement(6, (3, 0, 0, 0)))
     2
     >>> element_order(TorsionElement(6, (2, 3, 0, 0)))
     6
     """
-    common = eta.modulus
-    for e in eta.exponents:
-        common = gcd(common, e)
-    return eta.modulus // common
+    return eta._order
 
 
 def count_elements_of_order(r: int, g: int, m: int) -> int:
@@ -155,8 +158,9 @@ def cyclic_subgroup_elements(eta: TorsionElement) -> list[TorsionElement]:
 def cyclic_subgroup_equal(eta: TorsionElement, tau: TorsionElement) -> bool:
     """True iff eta and tau generate the same cyclic subgroup.
 
-    Checked as mutual membership: each must be an integer multiple of the
-    other.  Raises ModulusMismatch when the ambient groups differ.
+    At equal orders tau lying in <eta> already makes the two subgroups
+    equal, so one membership test decides.  Raises ModulusMismatch when the
+    ambient groups differ.
     """
     if eta.modulus != tau.modulus:
         raise ModulusMismatch(
@@ -164,9 +168,19 @@ def cyclic_subgroup_equal(eta: TorsionElement, tau: TorsionElement) -> bool:
         )
     if element_order(eta) != element_order(tau):
         return False
-    in_eta = any(eta.scale(k) == tau for k in range(element_order(eta)))
-    in_tau = any(tau.scale(k) == eta for k in range(element_order(tau)))
-    return in_eta and in_tau
+    return tau in cyclic_subgroup_elements(eta)
+
+
+def _equal_order_distinct_subgroups(eta: TorsionElement, tau: TorsionElement) -> bool:
+    """The support rule: equal orders but different cyclic subgroups.
+
+    Such a pair has disjoint fixed loci and a vanishing sector product.  For
+    a prime modulus p every non-identity element has order p, so this clause
+    already covers every tau outside <eta>.
+    """
+    return element_order(eta) == element_order(tau) and not cyclic_subgroup_equal(
+        eta, tau
+    )
 
 
 def canonical_element_of_order(r: int, g: int, m: int) -> TorsionElement:

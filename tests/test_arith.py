@@ -7,7 +7,6 @@ import pytest
 from parorb.arith import (
     divisors,
     format_rational,
-    is_prime,
     is_squarefree,
     mobius,
     parse_rational,
@@ -62,10 +61,6 @@ def test_mobius_divisor_sum_is_indicator():
 def test_prime_factors_squarefree_prime():
     assert prime_factors(60) == {2: 2, 3: 1, 5: 1}
     assert is_squarefree(30) and not is_squarefree(12)
-    assert [p for p in range(2, 30) if is_prime(p)] == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
-    ]
-    assert not is_prime(1) and not is_prime(0)
 
 
 def test_parse_rational_accepts_fractions_and_integers():

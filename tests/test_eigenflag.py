@@ -146,6 +146,77 @@ def test_deterministic_output_is_stable():
     assert flag_compatible_eigenbasis(op) == flag_compatible_eigenbasis(again)
 
 
+
+# Frozen outputs: each operator is W·P·D·P⁻¹·W⁻¹ with the flag vectors as the
+# columns of W, P unipotent upper triangular and D diagonal with repeated
+# entries, so the flags are non-standard and the eigenvalues repeat.  The
+# expected vectors were recorded once and pin the deterministic choice
+# (lexicographically least reduced row) at every step.
+FROZEN_CASES = [
+    (
+        (("-5", "4", "-4"), ("-8", "7", "-4"), ("0", "0", "3")),
+        ((1, 2, 0), (0, 1, 1), (1, 0, 1)),
+        [("1", "2", "0"), ("0", "1", "1"), ("1", "1", "0")],
+    ),
+    (
+        (
+            ("116", "-147", "135", "-75"),
+            ("159/2", "-203/2", "195/2", "-105/2"),
+            ("27", "-36", "38", "-18"),
+            ("123/2", "-159/2", "147/2", "-77/2"),
+        ),
+        ((2, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 3)),
+        [
+            ("1", "1/2", "0", "1/2"),
+            ("1", "3/4", "1/4", "1/2"),
+            ("0", "1", "6/5", "1/5"),
+            ("0", "1", "1/5", "-8/5"),
+        ],
+    ),
+    (
+        (
+            ("-8/5", "-1/5", "11/10", "27/20", "9/10"),
+            ("-51/10", "-7/10", "41/10", "41/10", "29/10"),
+            ("-3/10", "-1/10", "4/5", "1/20", "1/5"),
+            ("0", "0", "0", "0", "0"),
+            ("-9/2", "-1/2", "5/2", "4", "5/2"),
+        ),
+        (
+            (1, 1, 0, 0, 2),
+            (0, 3, 1, 0, 0),
+            (1, 0, 0, 1, 0),
+            (0, 2, 0, 0, 1),
+            (1, 0, 1, 1, 1),
+        ),
+        [
+            ("1", "1", "0", "0", "2"),
+            ("1", "4", "1", "0", "2"),
+            ("0", "1", "1", "2", "-4"),
+            ("0", "1", "1", "0", "-1"),
+            ("0", "0", "1", "20/9", "-41/9"),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("matrix,flag,expected", FROZEN_CASES)
+def test_frozen_eigenbases_with_repeated_eigenvalues(matrix, flag, expected):
+    op = FlaggedOperator(matrix=matrix, flag=flag)
+    basis = flag_compatible_eigenbasis(op)
+    assert basis == [tuple(map(Fraction, v)) for v in expected]
+    assert_valid_output(op.matrix, op.flag, basis)
+
+
+def test_jordan_block_at_a_later_flag_step_rejected():
+    # in flag coordinates: diag (1, 2, 3, 2) with a 1 coupling the two 2s,
+    # so steps 1-3 have eigenvectors and step 4 has none
+    op = FlaggedOperator(
+        matrix=((1, 0, 0, 1), (-3, 4, -4, 5), (0, 0, 2, 1), (1, -1, 2, 1)),
+        flag=((1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)),
+    )
+    with pytest.raises(NotDiagonalizable):
+        flag_compatible_eigenbasis(op)
+
 # --- randomized battery ------------------------------------------------------
 
 def random_conjugated_diagonal(rng, n):

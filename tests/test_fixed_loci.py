@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parorb.chenruan import ProductSupport, product_support
 from parorb.errors import IdentityElement, ModulusMismatch
 from parorb.fixed_loci import (
     IntersectionSupport,
@@ -99,16 +100,34 @@ def test_prime_modulus_membership_is_decisive():
 
 
 def test_prime_modulus_exhaustive_symmetry():
-    elements = [
-        TorsionElement(3, exps)
-        for exps in itertools.product(range(3), repeat=4)
-        if any(exps)
-    ]
-    for eta in elements[:20]:
-        for tau in elements:
-            left = intersection_support(eta, tau)
-            right = intersection_support(tau, eta)
-            assert left is right, (eta, tau)
+    """Every non-identity pair of (Z/r)^2, r = 2..9, and of (Z/3)^4.
+
+    The rule is restated here from raw subgroup sets, prime clause included:
+    forced when the orders agree and the subgroups differ, or when the
+    modulus is prime and tau lies outside <eta>.  The fixed-locus and
+    product verdicts must agree with it and with each other.
+    """
+    for r, length in [(r, 2) for r in range(2, 10)] + [(3, 4)]:
+        prime = all(r % d for d in range(2, r))
+        subgroups = {}
+        for exps in itertools.product(range(r), repeat=length):
+            if any(exps):
+                subgroups[exps] = frozenset(
+                    tuple((k * e) % r for e in exps) for k in range(r)
+                )
+        for a, sub_a in subgroups.items():
+            eta = TorsionElement(r, a)
+            for b, sub_b in subgroups.items():
+                tau = TorsionElement(r, b)
+                same_order = len(sub_a) == len(sub_b)
+                forced = (same_order and sub_a != sub_b) or (
+                    prime and b not in sub_a
+                )
+                left = intersection_support(eta, tau)
+                assert left is (FORCED if forced else MAYBE), (eta, tau)
+                assert left is intersection_support(tau, eta), (eta, tau)
+                product = product_support(tau, eta)
+                assert (left is FORCED) == (product is ProductSupport.FORCED_ZERO)
 
 
 def test_intersection_rejects_identity_and_mixed_moduli():

@@ -240,6 +240,19 @@ def test_hypotheses_are_enforced():
 def test_partition_shape_must_match():
     good = EXAMPLE_SPEC
     eta2 = TorsionElement(6, (3, 0, 0, 0))  # order 2
-    with pytest.raises(ValueError):
-        # blocks shaped for order 3, element of order 2
-        eigenvalue_multiplicities(good, eta2, EXAMPLE_T)
+    # blocks shaped for order 3, element of order 2; the check sits behind
+    # the multiplicity cache, so a repeated bad call must raise again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            eigenvalue_multiplicities(good, eta2, EXAMPLE_T)
+        with pytest.raises(ValueError):
+            degree_shift(good, eta2, EXAMPLE_T)
+    two_points = ModuliSpec(
+        genus=2, rank=6, degree=1, weights=(twelfths(1, 2, 3, 4, 5, 6),) * 2
+    )
+    eta3 = TorsionElement(6, (2, 0, 0, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            degree_shift(two_points, eta3, EXAMPLE_T)
+        with pytest.raises(ValueError):
+            eigenvalue_multiplicities(two_points, eta3, EXAMPLE_T)

@@ -31,6 +31,22 @@ def test_element_order_matches_naive_search():
     for exps in itertools.product(range(6), repeat=4):
         eta = TorsionElement(6, exps)
         assert element_order(eta) == naive_order(6, exps), exps
+    for exps in itertools.product(range(12), repeat=2):
+        eta = TorsionElement(12, exps)
+        assert element_order(eta) == naive_order(12, exps), exps
+
+
+def test_stored_order_stays_out_of_value_semantics():
+    # 8 reduces to 2 mod 6: one value, whatever the input spelling
+    a = TorsionElement(6, (8, 0, 0, 0))
+    b = TorsionElement(6, (2, 0, 0, 0))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b) == "TorsionElement(modulus=6, exponents=(2, 0, 0, 0))"
+    assert a.to_mapping() == b.to_mapping() == {
+        "modulus": 6,
+        "exponents": [2, 0, 0, 0],
+    }
 
 
 def test_exponents_are_reduced_modulo_r():
