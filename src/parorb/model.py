@@ -60,16 +60,6 @@ class ModuliSpec:
         frozen = tuple(tuple(Fraction(w) for w in point) for point in self.weights)
         object.__setattr__(self, "weights", frozen)
 
-    def __hash__(self):
-        # rational hashes are costly, so hash once and keep it
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            h = hash((self.genus, self.rank, self.degree, self.weights,
-                      self.higgs, self.assume_generic))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     @property
     def num_points(self) -> int:
         return len(self.weights)

@@ -28,10 +28,7 @@ def brute_force_order_census(r: int, g: int) -> dict[int, int]:
     The order of each element is found by trying k = 1, 2, ... until every
     scaled exponent vanishes — no gcd shortcut, no Möbius inversion.
     """
-    if r ** (2 * g) > CENSUS_LIMIT:
-        raise GuardrailExceeded(
-            "census enumeration of %d elements exceeds %d" % (r ** (2 * g), CENSUS_LIMIT)
-        )
+    _enforce_census_guardrail(r, g)
     census: dict[int, int] = {}
     for exponents in product(range(r), repeat=2 * g):
         order = next(
@@ -127,13 +124,20 @@ def check_dimension_identity(
 
 def enforce_oracle_guardrails(spec: ModuliSpec) -> None:
     """Hard limits for oracle mode: census and partition enumerations."""
-    r, g = spec.rank, spec.genus
-    if r ** (2 * g) > CENSUS_LIMIT:
-        raise GuardrailExceeded(
-            "r^(2g) = %d exceeds the census guardrail %d"
-            % (r ** (2 * g), CENSUS_LIMIT)
-        )
+    _enforce_census_guardrail(spec.rank, spec.genus)
     enforce_partition_guardrail(spec)
+
+
+def _enforce_census_guardrail(r: int, g: int) -> None:
+    """Refuse a census of more than CENSUS_LIMIT elements.
+
+    Shared by brute_force_order_census and oracle mode.
+    """
+    size = r ** (2 * g)
+    if size > CENSUS_LIMIT:
+        raise GuardrailExceeded(
+            "r^(2g) = %d exceeds the census guardrail %d" % (size, CENSUS_LIMIT)
+        )
 
 
 def enforce_partition_guardrail(spec: ModuliSpec) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator
@@ -45,14 +46,6 @@ class PointPartition:
         size = len(self.blocks[0])
         if size == 0 or any(len(b) != size for b in self.blocks):
             raise ValueError("blocks must be nonempty and of equal size")
-
-    def __hash__(self):
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            h = hash(self.blocks)
-            object.__setattr__(self, "_hash", h)
-            return h
 
     @property
     def m(self) -> int:
@@ -101,14 +94,6 @@ class WeightPartition:
         m, l = self.per_point[0].m, self.per_point[0].block_size
         if any(p.m != m or p.block_size != l for p in self.per_point):
             raise ValueError("all points must share the same block shape")
-
-    def __hash__(self):
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            h = hash(self.per_point)
-            object.__setattr__(self, "_hash", h)
-            return h
 
     @property
     def m(self) -> int:
@@ -255,12 +240,22 @@ def orbit_canonical(t: WeightPartition) -> tuple[WeightPartition, int]:
     recovers t from it: galois_rotate(rep, amount) == t.
 
     The least rotation brings the point-0 block holding point 0's smallest
-    weight to position 0, so finding that block is all the work.
+    weight to position 0, so finding that block is all the work.  The answer
+    is kept on t: the rotation amount, and the representative only when it
+    is not t itself (t holding itself would be a reference cycle that keeps
+    streamed partitions alive until the cyclic collector runs).  A canonical
+    t is returned as is, with amount 0; compute_orbit_section records that
+    for the representatives it builds.
     """
-    m = t.m
-    blocks = t.per_point[0].blocks
-    j = min(range(m), key=lambda k: blocks[k][0])
-    return galois_rotate(t, j), (m - j) % m
+    try:
+        rep, amount = t._orbit  # type: ignore[attr-defined]
+    except AttributeError:
+        m = t.m
+        blocks = t.per_point[0].blocks
+        j = min(range(m), key=lambda k: blocks[k][0])
+        rep, amount = (galois_rotate(t, j) if j else None), (m - j) % m
+        object.__setattr__(t, "_orbit", (rep, amount))
+    return (t if rep is None else rep), amount
 
 
 @dataclass(frozen=True)
@@ -269,19 +264,18 @@ class OrbitSection:
 
     representatives are the lexicographically least members of their orbits,
     listed ascending; every orbit has size exactly m (the action is free),
-    so orbit_count * m == partition_count.
+    so orbit_count * m == partition_count.  The reverse index behind locate
+    and representative_index is built on the first call to either and then
+    kept.
     """
 
     m: int
     partition_count: int
     representatives: tuple[WeightPartition, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_rep_index",
-            {rep: k for k, rep in enumerate(self.representatives)},
-        )
+    @cached_property
+    def _rep_index(self) -> dict[WeightPartition, int]:
+        return {rep: k for k, rep in enumerate(self.representatives)}
 
     @property
     def orbit_count(self) -> int:
@@ -290,12 +284,12 @@ class OrbitSection:
     def locate(self, t: WeightPartition) -> tuple[WeightPartition, int]:
         """(representative, rotation) with galois_rotate(rep, rotation) == t."""
         rep, amount = orbit_canonical(t)
-        if rep not in self._rep_index:  # type: ignore[attr-defined]
+        if rep not in self._rep_index:
             raise KeyError("partition does not belong to this family")
         return rep, amount
 
     def representative_index(self, rep: WeightPartition) -> int:
-        return self._rep_index[rep]  # type: ignore[attr-defined]
+        return self._rep_index[rep]
 
 
 def compute_orbit_section(spec: ModuliSpec, m: int) -> OrbitSection:
@@ -316,6 +310,8 @@ def compute_orbit_section(spec: ModuliSpec, m: int) -> OrbitSection:
         for p, point in enumerate(spec.weights)
     ]
     representatives = tuple(WeightPartition(combo) for combo in product(*per_point))
+    for rep in representatives:
+        object.__setattr__(rep, "_orbit", (None, 0))  # canonical by construction
 
     total = count_partitions(spec.rank, m, spec.num_points)
     if len(representatives) * m != total:

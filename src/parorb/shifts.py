@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     CapabilityMissing,
@@ -102,13 +101,19 @@ class EigenvalueMultiplicityTable:
         return self.dimension - self.total_codimension
 
 
-@lru_cache(maxsize=1 << 15)
-def _multiplicity_table(
+def _table_and_shift(
     spec: ModuliSpec, m: int, t: WeightPartition
-) -> EigenvalueMultiplicityTable:
-    # depends on eta only through m, so sweeps over many same-order
-    # elements hit this cache instead of rebuilding the table; the shape
-    # is checked on a miss only, and a raise is never cached
+) -> tuple[EigenvalueMultiplicityTable, Fraction]:
+    # both depend on eta only through m, and a sweep asks one partition for
+    # many elements of one order, so they are kept on t with the spec object
+    # and m they were computed for: a hit needs that same spec object and m.
+    # The shape is checked on a miss only, and a raise is never kept.
+    try:
+        memo_spec, memo_m, table, value = t._shift_memo  # type: ignore[attr-defined]
+        if memo_spec is spec and memo_m == m:
+            return table, value
+    except AttributeError:
+        pass
     if t.m != m:
         raise ValueError(
             "partition has %d blocks per point, element order is %d" % (t.m, m)
@@ -117,10 +122,13 @@ def _multiplicity_table(
         raise ValueError("partition shape does not match the moduli description")
     base = spec.rank * spec.rank * (spec.genus - 1) // m
     counts = t.dominance_vector()
-    table = {i: base + counts[i] for i in range(1, m)}
-    return EigenvalueMultiplicityTable(
-        m=m, multiplicities=table, dimension=moduli_dimension(spec)
+    mults = {i: base + counts[i] for i in range(1, m)}
+    table = EigenvalueMultiplicityTable(
+        m=m, multiplicities=mults, dimension=moduli_dimension(spec)
     )
+    value = Fraction(sum(i * mult for i, mult in mults.items()), m)
+    object.__setattr__(t, "_shift_memo", (spec, m, table, value))
+    return table, value
 
 
 def eigenvalue_multiplicities(
@@ -133,7 +141,7 @@ def eigenvalue_multiplicities(
     non-Higgs mode.
     """
     m = _require_shift_hypotheses(spec, eta)
-    return _multiplicity_table(spec, m, t)
+    return _table_and_shift(spec, m, t)[0]
 
 
 @dataclass(frozen=True)
@@ -147,16 +155,6 @@ class DegreeShift:
     value: Fraction
     eta: TorsionElement
     orbit_representative: WeightPartition
-
-
-@lru_cache(maxsize=1 << 15)
-def _shift_value_and_representative(
-    spec: ModuliSpec, m: int, t: WeightPartition
-) -> tuple[Fraction, WeightPartition]:
-    table = _multiplicity_table(spec, m, t)
-    weighted = sum(i * mult for i, mult in table.multiplicities.items())
-    representative, _ = orbit_canonical(t)
-    return Fraction(weighted, m), representative
 
 
 def degree_shift(
@@ -174,7 +172,8 @@ def degree_shift(
     Fraction(56, 3)
     """
     m = _require_shift_hypotheses(spec, eta)
-    value, representative = _shift_value_and_representative(spec, m, t)
+    _, value = _table_and_shift(spec, m, t)
+    representative, _ = orbit_canonical(t)
     return DegreeShift(value=value, eta=eta, orbit_representative=representative)
 
 

@@ -69,6 +69,18 @@ def test_checkers_pass_on_valid_input():
     assert result["pass"] is True and result["checked"] == 90
 
 
+def test_census_guardrail_is_one_rule():
+    # the standalone census and oracle mode refuse (6, 5) with one message
+    with pytest.raises(GuardrailExceeded) as census:
+        brute_force_order_census(6, 5)
+    with pytest.raises(GuardrailExceeded) as oracle:
+        enforce_oracle_guardrails(spec_for(6, 1, genus=5))
+    assert str(census.value) == str(oracle.value)
+    assert str(census.value) == (
+        "r^(2g) = %d exceeds the census guardrail %d" % (6 ** 10, CENSUS_LIMIT)
+    )
+
+
 def test_enforce_oracle_guardrails():
     enforce_oracle_guardrails(spec_for(6, 1))
     with pytest.raises(GuardrailExceeded):

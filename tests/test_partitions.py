@@ -150,6 +150,19 @@ def test_orbit_canonical_equals_brute_force_minimum():
         assert galois_rotate(rep, amount) == t
 
 
+def test_orbit_canonical_keeps_its_answer():
+    canonical = []
+    for t in enumerate_partitions(spec_for(6, 1), 3):
+        rep, amount = orbit_canonical(t)
+        canonical.append(amount == 0)
+        if amount == 0:
+            assert rep is t
+        else:
+            again, again_amount = orbit_canonical(t)
+            assert rep is not t and again is rep and again_amount == amount
+    assert canonical.count(True) == 30 and canonical.count(False) == 60
+
+
 def test_dominance_vector_needs_distinct_weights():
     tied = PointPartition(((Fraction(1, 4),), (Fraction(1, 4),)))
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Dominance counts, eigenvalue multiplicities, degree shifts, dimensions."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -241,12 +243,22 @@ def test_partition_shape_must_match():
     good = EXAMPLE_SPEC
     eta2 = TorsionElement(6, (3, 0, 0, 0))  # order 2
     # blocks shaped for order 3, element of order 2; the check sits behind
-    # the multiplicity cache, so a repeated bad call must raise again
+    # the memo, so a repeated bad call must raise again
     for _ in range(2):
         with pytest.raises(ValueError):
             eigenvalue_multiplicities(good, eta2, EXAMPLE_T)
         with pytest.raises(ValueError):
             degree_shift(good, eta2, EXAMPLE_T)
+    # a good call leaves a memo on the partition; it must not answer for
+    # another order
+    t = WeightPartition(
+        (PointPartition((twelfths(1, 2), twelfths(3, 4), twelfths(5, 6))),)
+    )
+    degree_shift(good, EXAMPLE_ETA, t)
+    with pytest.raises(ValueError):
+        eigenvalue_multiplicities(good, eta2, t)
+    with pytest.raises(ValueError):
+        degree_shift(good, eta2, t)
     two_points = ModuliSpec(
         genus=2, rank=6, degree=1, weights=(twelfths(1, 2, 3, 4, 5, 6),) * 2
     )
@@ -256,3 +268,40 @@ def test_partition_shape_must_match():
             degree_shift(two_points, eta3, EXAMPLE_T)
         with pytest.raises(ValueError):
             eigenvalue_multiplicities(two_points, eta3, EXAMPLE_T)
+
+
+def test_memo_does_not_keep_streamed_partitions_alive():
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=(twelfths(1, 2, 3, 4, 5, 6),))
+    eta = canonical_element_of_order(6, 2, 3)
+    refs = []
+    gc.disable()  # only reference counting may free them
+    try:
+        for t in enumerate_partitions(spec, 3):
+            degree_shift(spec, eta, t)
+            total_codimension(spec, eta, t)
+            refs.append(weakref.ref(t))
+        del t
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(refs) == 90
+    assert alive == 0
+
+
+def test_memo_answers_for_its_own_spec_only():
+    # a non-canonical partition with C(1) = C(2) = 6, asked for two genera
+    t = WeightPartition(
+        (PointPartition((twelfths(2, 3), twelfths(1, 4), twelfths(5, 6))),)
+    )
+    weights = (twelfths(1, 2, 3, 4, 5, 6),)
+    genus2 = ModuliSpec(genus=2, rank=6, degree=1, weights=weights)
+    genus3 = ModuliSpec(genus=3, rank=6, degree=1, weights=weights)
+    tables = [
+        eigenvalue_multiplicities(spec, canonical_element_of_order(6, spec.genus, 3), t)
+        for spec in (genus2, genus3, genus2)
+    ]
+    assert [table.multiplicities for table in tables] == [
+        {1: 18, 2: 18},
+        {1: 30, 2: 30},
+        {1: 18, 2: 18},
+    ]
