@@ -1,15 +1,20 @@
 """Twisted sectors, the rationally graded dimension table, Euler identity,
 and the support rules for the orbifold pairing and product.
 
-A twisted sector of a non-identity element of order m is assembled, one
-rotation-orbit class of weight partitions at a time, as
+A twisted sector of a non-identity element of order m is the sum, over the
+rotation-orbit classes of weight partitions, of
 
     H^*(Prym) (x) H^*(small parabolic moduli on the cover)
 
-shifted upward by twice the class's degree shift.  The Prym factor is a
-complex torus, so every twisted sector has Euler characteristic zero and
-the orbifold Euler characteristic equals the plain one — the certificate
-records that identity divisor by divisor.
+shifted upward by twice the class's degree shift.  That series is the same
+for every class, so a sector depends on its classes only through how many
+have each shift.  chen_ruan_twisted_part reads those counts off
+shifts.shift_histogram, a convolution of per-point histograms;
+twisted_sector enumerates the orbit representatives one by one and is kept
+as the independent check.  The Prym factor is a complex torus, so every
+twisted sector has Euler characteristic zero and the orbifold Euler
+characteristic equals the plain one — the certificate records that identity
+divisor by divisor.
 
 Betti tables for the small-rank factor (l > 1) are external inputs, keyed
 by (genus, rank, points, chamber); the rank-1 factor is a point and is
@@ -30,7 +35,12 @@ from .errors import IdentityElement, ModulusMismatch, ParseError, TableMissing
 from .fixed_loci import fixed_locus_components
 from .model import ModuliSpec, moduli_dimension
 from .partitions import WeightPartition, compute_orbit_section
-from .shifts import DegreeShift, degree_shift, _require_shift_hypotheses
+from .shifts import (
+    DegreeShift,
+    _require_shift_hypotheses,
+    degree_shift,
+    shift_histogram,
+)
 from .torsion import (
     TorsionElement,
     _equal_order_distinct_subgroups,
@@ -108,7 +118,8 @@ class PoincareSeries:
         if not self.coefficients:
             return True
         top = self.top_degree
-        return all(self.coefficient(top - k) == d for k, d in self.coefficients)
+        dims = dict(self.coefficients)
+        return all(dims.get(top - k, 0) == d for k, d in self.coefficients)
 
     def shifted(self, offset: Fraction) -> "RationalGradedDimension":
         """Move every degree up by an exact rational offset."""
@@ -171,7 +182,8 @@ class RationalGradedDimension:
 
     def symmetric_about(self, center: Fraction) -> bool:
         center = Fraction(center)
-        return all(self.dimension_at(2 * center - x) == d for x, d in self.entries)
+        dims = dict(self.entries)
+        return all(dims.get(2 * center - x, 0) == d for x, d in self.entries)
 
     def to_rows(self) -> list[dict]:
         return [
@@ -339,6 +351,41 @@ class SectorReport:
         return sum(series.euler_characteristic() for _, _, series in self.per_orbit)
 
 
+def _sector_series(
+    spec: ModuliSpec, m: int, provider, chamber: Optional[str]
+) -> PoincareSeries:
+    """prym (x) small-rank: the series every orbit class of an order-m sector
+    carries before its shift (one Betti lookup)."""
+    cover = spectral_cover_data(spec.genus, m)
+    return prym_poincare(spec.genus, m).convolve(
+        small_rank_poincare(
+            provider, cover.cover_genus, spec.rank // m, spec.num_points * m, chamber
+        )
+    )
+
+
+def _shifted_sum(
+    series: PoincareSeries, histogram: dict[Fraction, int]
+) -> RationalGradedDimension:
+    """Sum over shifts of count copies of series moved up by twice the shift."""
+    accumulated: dict[Fraction, int] = {}
+    for shift, count in histogram.items():
+        offset = 2 * shift
+        for k, d in series.coefficients:
+            grade = k + offset
+            accumulated[grade] = accumulated.get(grade, 0) + count * d
+    return RationalGradedDimension(tuple(accumulated.items()))
+
+
+def _check_class_count(spec: ModuliSpec, eta: TorsionElement, count: int) -> None:
+    expected = fixed_locus_components(spec, eta).gamma_classes
+    if expected is not None and count != expected:
+        raise AssertionError(
+            "orbit classes (%d) disagree with the component count (%d)"
+            % (count, expected)
+        )
+
+
 def twisted_sector(
     spec: ModuliSpec,
     eta: TorsionElement,
@@ -347,38 +394,27 @@ def twisted_sector(
 ) -> SectorReport:
     """Assemble the twisted sector of a non-identity torsion element.
 
-    Per rotation-orbit class of weight partitions: the class's series is
-    prym (x) small-rank (one Betti lookup, shared across classes), shifted
-    upward by twice the class's degree shift; sector_graded is the sum.
+    Enumerates the rotation-orbit representatives (compute_orbit_section)
+    and takes each one's degree shift; every class carries the series
+    prym (x) small-rank (one Betti lookup, shared), shifted upward by twice
+    its shift, and sector_graded is the sum.  This walks the product of the
+    per-point partitions; chen_ruan_twisted_part gets the same sums from
+    shift_histogram instead, and this function is its independent check.
     """
     m = _require_shift_hypotheses(spec, eta)
-    g, s = spec.genus, spec.num_points
-    l = spec.rank // m
-    cover = spectral_cover_data(g, m)
-    series = prym_poincare(g, m).convolve(
-        small_rank_poincare(provider, cover.cover_genus, l, s * m, chamber)
-    )
-    section = compute_orbit_section(spec, m)
+    series = _sector_series(spec, m, provider, chamber)
     per_orbit = []
-    accumulated: dict[Fraction, int] = {}
-    for representative in section.representatives:
+    histogram: dict[Fraction, int] = {}
+    for representative in compute_orbit_section(spec, m).representatives:
         shift = degree_shift(spec, eta, representative)
         per_orbit.append((representative, shift, series))
-        offset = 2 * shift.value
-        for k, d in series.coefficients:
-            grade = k + offset
-            accumulated[grade] = accumulated.get(grade, 0) + d
+        histogram[shift.value] = histogram.get(shift.value, 0) + 1
     report = SectorReport(
         eta=eta,
         per_orbit=tuple(per_orbit),
-        sector_graded=RationalGradedDimension(tuple(accumulated.items())),
+        sector_graded=_shifted_sum(series, histogram),
     )
-    expected_classes = fixed_locus_components(spec, eta).gamma_classes
-    if expected_classes is not None and report.orbit_class_count != expected_classes:
-        raise AssertionError(
-            "orbit classes (%d) disagree with the component count (%d)"
-            % (report.orbit_class_count, expected_classes)
-        )
+    _check_class_count(spec, eta, report.orbit_class_count)
     return report
 
 
@@ -389,18 +425,23 @@ def chen_ruan_twisted_part(
 
     Counts and shifts depend on an element only through its order, so one
     sector per divisor m != 1 of r is computed and scaled by the number of
-    elements of that exact order.
+    elements of that exact order.  Each sector comes from shift_histogram,
+    the number of orbit classes per shift, without enumerating the orbit
+    representatives; it equals twisted_sector(...).sector_graded.  Checks
+    run in the order twisted_sector runs them: shift hypotheses, Betti
+    lookup, orbit-class count.
     """
     r, g = spec.rank, spec.genus
     total = RationalGradedDimension.empty()
     for m in divisors(r):
         if m == 1:
             continue
-        sector = twisted_sector(
-            spec, canonical_element_of_order(r, g, m), provider, chamber
-        )
-        multiplicity = count_elements_of_order(r, g, m)
-        total = total.add(sector.sector_graded.scale(multiplicity))
+        eta = canonical_element_of_order(r, g, m)
+        histogram = shift_histogram(spec, eta)  # checks the shift hypotheses
+        series = _sector_series(spec, m, provider, chamber)
+        _check_class_count(spec, eta, sum(histogram.values()))
+        sector = _shifted_sum(series, histogram)
+        total = total.add(sector.scale(count_elements_of_order(r, g, m)))
     return total
 
 

@@ -27,6 +27,7 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator
 
+from .arith import format_rational
 from .errors import IndexOutOfRange, NotADivisor
 from .model import ModuliSpec
 
@@ -81,6 +82,17 @@ class PointPartition:
         object.__setattr__(self, "_dominance", vector)
         return vector
 
+    def formatted_blocks(self) -> tuple[tuple[str, ...], ...]:
+        """The blocks with each weight as its exact string, built once per
+        object; the representatives of a section share PointPartitions."""
+        try:
+            return self._formatted  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
+        formatted = tuple(tuple(map(format_rational, block)) for block in self.blocks)
+        object.__setattr__(self, "_formatted", formatted)
+        return formatted
+
 
 @dataclass(frozen=True, order=True)
 class WeightPartition:
@@ -118,12 +130,8 @@ class WeightPartition:
         return vector
 
     def to_mapping(self) -> list:
-        from .arith import format_rational
-
-        return [
-            [[format_rational(w) for w in block] for block in point.blocks]
-            for point in self.per_point
-        ]
+        """Fresh nested lists of weight strings, safe for the caller to mutate."""
+        return [list(map(list, point.formatted_blocks())) for point in self.per_point]
 
 
 def count_partitions(r: int, m: int, s: int) -> int:

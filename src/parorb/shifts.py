@@ -13,11 +13,14 @@ sum_i (i/m) * mult(i).  The dimension bookkeeping
 
     moduli_dimension = fixed_component_dimension + total_codimension
 
-holds exactly for every partition.
+holds exactly for every partition.  Since sum_i i*C_t(i) adds up one term
+per marked point, shift_histogram counts the orbit classes of each shift
+from per-point histograms without visiting the product of partitions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ from .errors import (
     ModulusMismatch,
 )
 from .model import ModuliSpec, moduli_dimension
-from .partitions import WeightPartition, orbit_canonical
+from .partitions import WeightPartition, _point_partitions, orbit_canonical
 from .torsion import TorsionElement, element_order, spectral_cover_data
 
 
@@ -203,3 +206,37 @@ def total_codimension(
     Complements fixed_component_dimension to the full moduli dimension.
     """
     return eigenvalue_multiplicities(spec, eta, t).total_codimension
+
+
+def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int]:
+    """Number of rotation-orbit classes of weight partitions per degree shift.
+
+    A shift is (base*m(m-1)/2 + sum_p S_p)/m with base = r^2(g-1)/m and
+    S_p = sum_i i*C_p(i) read off point p's dominance vector alone, so the
+    counts are the convolution of one integer histogram of S_p per point;
+    Fractions are made only for the final keys.  Point 0 keeps only its
+    partitions with the smallest weight in block 0, as compute_orbit_section
+    does, so the counts sum to the orbit count and the product of partitions
+    is never walked.  Keys ascend.
+
+    >>> from fractions import Fraction as F
+    >>> spec = ModuliSpec(genus=2, rank=6, degree=1,
+    ...     weights=(tuple(F(i, 12) for i in range(1, 7)),))
+    >>> hist = shift_histogram(spec, TorsionElement(6, (2, 0, 0, 0)))
+    >>> [(str(shift), count) for shift, count in hist.items()]
+    [('52/3', 2), ('53/3', 7), ('18', 12), ('55/3', 7), ('56/3', 2)]
+    """
+    m = _require_shift_hypotheses(spec, eta)
+    totals = {0: 1}
+    for p, point in enumerate(spec.weights):
+        per_point = Counter(
+            sum(i * c for i, c in enumerate(part.dominance_vector()))
+            for part in _point_partitions(point, m, anchored=p == 0)
+        )
+        convolved: dict[int, int] = {}
+        for a, count_a in totals.items():
+            for b, count_b in per_point.items():
+                convolved[a + b] = convolved.get(a + b, 0) + count_a * count_b
+        totals = convolved
+    base = spec.rank * spec.rank * (spec.genus - 1) // m * (m * (m - 1) // 2)
+    return {Fraction(base + t, m): count for t, count in sorted(totals.items())}

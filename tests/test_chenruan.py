@@ -1,7 +1,10 @@
 """Graded carriers, twisted sectors, Euler identity, support rules."""
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,6 +26,7 @@ from parorb.chenruan import (
     small_rank_poincare,
     twisted_sector,
 )
+from parorb.arith import divisors
 from parorb.errors import (
     IdentityElement,
     ModulusMismatch,
@@ -30,7 +34,12 @@ from parorb.errors import (
     TableMissing,
 )
 from parorb.model import ModuliSpec, moduli_dimension
-from parorb.torsion import TorsionElement, count_elements_of_order
+from parorb.shifts import shift_histogram
+from parorb.torsion import (
+    TorsionElement,
+    canonical_element_of_order,
+    count_elements_of_order,
+)
 
 
 def series(*dims):
@@ -244,6 +253,79 @@ def test_sector_grades_live_between_zero_and_twice_dimension():
     table = chen_ruan_twisted_part(spec, provider)
     top = 2 * moduli_dimension(spec)
     assert all(0 < x < top for x, _ in table.entries)
+
+
+# --- sectors from shift histograms ------------------------------------------
+
+def uneven_spec(rng, g, r, s, degree=1):
+    """s different points of r unevenly spaced weights with assorted denominators."""
+    points = []
+    for _ in range(s):
+        chosen = set()
+        while len(chosen) < r:
+            q = rng.randint(r + 1, 97)
+            chosen.add(Fraction(rng.randrange(q), q))
+        points.append(tuple(sorted(chosen)))
+    return ModuliSpec(genus=g, rank=r, degree=degree, weights=tuple(points))
+
+
+def sector_provider(rng, spec):
+    """A palindromic table for every small-rank lookup of spec's sectors."""
+    tables = []
+    for m in divisors(spec.rank)[1:]:
+        l = spec.rank // m
+        if l > 1:
+            half = [1] + [rng.randint(0, 4) for _ in range(rng.randint(0, 3))]
+            cover_genus = m * (spec.genus - 1) + 1
+            doc = table_doc(cover_genus, l, spec.num_points * m, "c", half + half[-2::-1])
+            tables.append(BettiTable.from_mapping(doc))
+    return BettiProvider(tables)
+
+
+HISTOGRAM_SHAPES = [
+    (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 5, 1),
+    (2, 5, 2), (2, 6, 1), (2, 6, 2), (2, 7, 1), (3, 6, 1),
+]
+
+
+@pytest.mark.parametrize("g, r, s", HISTOGRAM_SHAPES)
+def test_shift_histogram_equals_twisted_sector_shifts(g, r, s):
+    rng = random.Random(100 * g + 10 * r + s)
+    spec = uneven_spec(rng, g, r, s)
+    provider = sector_provider(rng, spec)
+    for m in divisors(r)[1:]:
+        eta = canonical_element_of_order(r, g, m)
+        sector = twisted_sector(spec, eta, provider)
+        enumerated = Counter(shift.value for _, shift, _ in sector.per_orbit)
+        assert shift_histogram(spec, eta) == enumerated
+
+
+def test_twisted_part_equals_census_weighted_sectors():
+    rng = random.Random(20261018)
+    for _ in range(16):
+        r = rng.choice((2, 3, 5, 6, 6, 7))
+        s = rng.randint(1, {2: 4, 3: 3, 5: 2, 6: 1, 7: 1}[r])
+        g = rng.randint(2, 4)
+        degree = rng.choice([d for d in range(1, 2 * r) if gcd(d, r) == 1])
+        spec = uneven_spec(rng, g, r, s, degree)
+        provider = sector_provider(rng, spec)
+        expected = RationalGradedDimension.empty()
+        for m in divisors(r)[1:]:
+            sector = twisted_sector(spec, canonical_element_of_order(r, g, m), provider)
+            # the sector is the sum of its classes' series, each moved up by
+            # twice the class's shift
+            by_class = RationalGradedDimension(
+                tuple(
+                    (k + 2 * shift.value, d)
+                    for _, shift, class_series in sector.per_orbit
+                    for k, d in class_series.coefficients
+                )
+            )
+            assert sector.sector_graded == by_class
+            expected = expected.add(
+                sector.sector_graded.scale(count_elements_of_order(r, g, m))
+            )
+        assert chen_ruan_twisted_part(spec, provider) == expected, spec
 
 
 def test_euler_certificate_rows_all_vanish():

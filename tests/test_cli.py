@@ -1,5 +1,6 @@
 """End-to-end command line checks: determinism, exit codes, formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,6 +187,25 @@ def test_capability_missing_exits_3(tmp_path):
     assert "coprime" in error["message"]
 
 
+def test_capability_missing_comes_before_table_missing(tmp_path):
+    # gcd(6, 2) = 2, and the order-2 sector would need a rank-3 table that
+    # no provider holds: the shift hypotheses are checked before the lookup
+    six = {
+        "genus": 2,
+        "rank": 6,
+        "degree": 2,
+        "weights": [[f"{i}/7" for i in range(1, 7)]],
+    }
+    result = run_cli(
+        "--spec", write_json(tmp_path / "g2r6d2.json", six), "--emit", "cr_table"
+    )
+    assert result.returncode == 3
+    assert result.stdout == b""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "CapabilityMissing"
+    assert "coprime" in error["message"]
+
+
 def test_table_missing_exits_4(tmp_path):
     six = {
         "genus": 2,
@@ -246,3 +266,47 @@ def test_shifts_section_lists_orbit_representatives(spec_g3r2):
     assert len(rows) == 1  # two partitions in one free orbit
     assert rows[0]["shift"] == "5/2"
     assert rows[0]["multiplicities"] == [5]
+
+
+GOLDEN_SPECS = {
+    "g2r6": {
+        "genus": 2,
+        "rank": 6,
+        "degree": 5,
+        "weights": [["1/13", "1/7", "2/7", "3/7", "5/8", "9/10"]],
+    },
+    "g2r3s2": {
+        "genus": 2,
+        "rank": 3,
+        "degree": 2,
+        "weights": [["0", "1/5", "7/11"], ["1/9", "1/2", "4/5"]],
+    },
+}
+GOLDEN_TABLES = [
+    {"genus": 2, "rank": 6, "points": 1, "chamber": "c0", "coefficients": [1, 0, 3, 1, 3, 0, 1]},
+    {"genus": 3, "rank": 3, "points": 2, "chamber": "c0", "coefficients": [1, 2, 4, 2, 1]},
+    {"genus": 4, "rank": 2, "points": 3, "chamber": "c0", "coefficients": [1, 1, 5, 1, 1]},
+    {"genus": 2, "rank": 3, "points": 2, "chamber": "c0", "coefficients": [1, 0, 2, 0, 1]},
+]
+# sha256 of stdout, recorded from the enumerating cr_table path (every orbit
+# representative walked by twisted_sector) before the table was built from
+# shift histograms, and before weights were formatted once per point
+GOLDEN_SHA256 = {
+    "g2r6": "7882fa93cdc960719eeb25bcebd4c7129956ad0ab45cc543107884638aaf339f",
+    "g2r3s2": "58835b157bc242249dd14bc3463f42c9a0b54a0f91580aee51f4c54ff60d3000",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_full_report_matches_golden_digest(tmp_path, name):
+    provider = write_json(tmp_path / "tables.json", GOLDEN_TABLES)
+    spec = write_json(tmp_path / (name + ".json"), GOLDEN_SPECS[name])
+    result = run_cli(
+        "--spec", spec, "--provider", provider,
+        "--emit", "census,components,shifts,cr_table,euler,product_rules",
+    )
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert len(report["outputs"]) == 6
+    assert report["outputs"]["cr_table"]["untwisted"] == "included"
+    assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_SHA256[name]

@@ -215,3 +215,21 @@ def test_weight_partition_mapping_is_exact():
     t = next(enumerate_partitions(spec, 2))
     rows = t.to_mapping()
     assert rows == [[["1/5", "2/5"], ["3/5", "4/5"]]]
+
+
+def test_to_mapping_returns_fresh_lists():
+    spec = spec_for(4, 2)
+    section = compute_orbit_section(spec, 2)
+    t = section.representatives[0]
+    first, second = t.to_mapping(), t.to_mapping()
+    assert first == second and first is not second
+    # two representatives sharing point 0's PointPartition
+    u = next(rep for rep in section.representatives[1:] if rep.per_point[0] is t.per_point[0])
+    shared_t, shared_u = t.to_mapping()[0], u.to_mapping()[0]
+    assert shared_t == shared_u and shared_t is not shared_u
+    first[0][0][0] = "changed"
+    first[0].append(["extra"])
+    shared_u[1].clear()
+    assert t.to_mapping() == second
+    assert u.to_mapping()[0] == second[0]
+    assert second[0][0][0] == "1/5" and len(second[0]) == 2

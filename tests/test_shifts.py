@@ -4,10 +4,12 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from parorb.arith import divisors
 from parorb.errors import (
     CapabilityMissing,
     IdentityElement,
@@ -27,6 +29,7 @@ from parorb.shifts import (
     dominance_count,
     eigenvalue_multiplicities,
     fixed_component_dimension,
+    shift_histogram,
     total_codimension,
 )
 from parorb.torsion import TorsionElement, canonical_element_of_order
@@ -238,6 +241,18 @@ def test_hypotheses_are_enforced():
     with pytest.raises(IdentityElement):
         degree_shift(good, TorsionElement(6, (0, 0, 0, 0)), t)
 
+    # shift_histogram takes no partition and checks the same hypotheses
+    with pytest.raises(CapabilityMissing):
+        shift_histogram(not_coprime, eta)
+    with pytest.raises(CapabilityMissing):
+        shift_histogram(not_squarefree, TorsionElement(4, (1, 0, 0, 0)))
+    with pytest.raises(ModeMismatch):
+        shift_histogram(higgs, eta)
+    with pytest.raises(ModulusMismatch):
+        shift_histogram(good, TorsionElement(5, (1, 0, 0, 0)))
+    with pytest.raises(IdentityElement):
+        shift_histogram(good, TorsionElement(6, (0, 0, 0, 0)))
+
 
 def test_partition_shape_must_match():
     good = EXAMPLE_SPEC
@@ -305,3 +320,32 @@ def test_memo_answers_for_its_own_spec_only():
         {1: 30, 2: 30},
         {1: 18, 2: 18},
     ]
+
+
+def uneven_weights(rng, r, s):
+    """s different points of r unevenly spaced weights in [0, 1)."""
+    points = []
+    for _ in range(s):
+        chosen = set()
+        while len(chosen) < r:
+            q = rng.randint(r + 1, 97)
+            chosen.add(Fraction(rng.randrange(q), q))
+        points.append(tuple(sorted(chosen)))
+    return tuple(points)
+
+
+@pytest.mark.parametrize(
+    "g, r, s", [(3, 2, 1), (3, 2, 4), (2, 3, 1), (2, 3, 3), (2, 5, 1), (2, 6, 1), (3, 6, 1)]
+)
+def test_shift_histogram_counts_every_partition_once_per_orbit(g, r, s):
+    # independent of the orbit section: every partition's shift counted,
+    # against m times the histogram (orbits have size m)
+    spec = ModuliSpec(
+        genus=g, rank=r, degree=1, weights=uneven_weights(random.Random(7 * r + s), r, s)
+    )
+    for m in divisors(r)[1:]:
+        eta = canonical_element_of_order(r, g, m)
+        every = Counter(degree_shift(spec, eta, t).value for t in enumerate_partitions(spec, m))
+        histogram = shift_histogram(spec, eta)
+        assert {shift: m * count for shift, count in histogram.items()} == every
+        assert list(histogram) == sorted(histogram)
