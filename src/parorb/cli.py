@@ -38,8 +38,8 @@ from .model import ModuliSpec, load_spec, moduli_dimension, spec_to_mapping
 from .oracles import (
     brute_force_order_census,
     brute_force_partition_census,
-    check_dimension_identity,
-    check_dominance_pairing,
+    check_partition_identities,
+    enforce_histogram_guardrail,
     enforce_oracle_guardrails,
     enforce_partition_guardrail,
 )
@@ -140,7 +140,7 @@ def _shifts_section(spec: ModuliSpec) -> dict:
 
 
 def _cr_table_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
-    enforce_partition_guardrail(spec)
+    enforce_histogram_guardrail(spec)
     try:
         untwisted = provider.lookup(spec.genus, spec.rank, spec.num_points)
         flag = "included"
@@ -227,6 +227,7 @@ def _oracle_section(spec: ModuliSpec) -> dict:
     )
 
     caps = spec.capabilities
+    dimension_ok = caps.coprime_rank_degree and caps.squarefree_rank and not spec.higgs
     for m in divisors(r):
         if m == 1:
             continue
@@ -249,26 +250,18 @@ def _oracle_section(spec: ModuliSpec) -> dict:
                 and census["orbit_count"] == section.orbit_count,
             }
         )
-        pairing = check_dominance_pairing(
-            spec, m, enumerate_partitions(spec, m)
+        eta = canonical_element_of_order(r, g, m) if dimension_ok else None
+        pairing, identity = check_partition_identities(
+            spec, m, eta, enumerate_partitions(spec, m)
         )
         checks.append({"check": "dominance_pairing", "order": m, **pairing})
-        if caps.coprime_rank_degree and caps.squarefree_rank and not spec.higgs:
-            eta = canonical_element_of_order(r, g, m)
-            identity = check_dimension_identity(
-                spec, eta, enumerate_partitions(spec, m)
-            )
-            checks.append({"check": "dimension_identity", "order": m, **identity})
-        else:
-            checks.append(
-                {
-                    "check": "dimension_identity",
-                    "order": m,
-                    "pass": None,
-                    "skipped": "needs coprime rank/degree, squarefree rank, "
-                    "non-Higgs mode",
-                }
-            )
+        if identity is None:
+            identity = {
+                "pass": None,
+                "skipped": "needs coprime rank/degree, squarefree rank, "
+                "non-Higgs mode",
+            }
+        checks.append({"check": "dimension_identity", "order": m, **identity})
 
     all_pass = all(entry["pass"] is not False for entry in checks)
     return {"op": "oracle_crosschecks", "all_pass": all_pass, "checks": checks}

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from parorb.chenruan import chen_ruan_table
+from parorb.model import load_spec
+
 SPEC_G2R3 = {
     "genus": 2,
     "rank": 3,
@@ -251,6 +254,40 @@ def test_guardrail_exits_5_for_huge_shift_enumeration(tmp_path):
     assert json.loads(result.stderr)["error"]["type"] == "GuardrailExceeded"
 
 
+def test_cr_table_guardrail_counts_point_partitions(tmp_path):
+    # cr_table walks each point's partitions on its own, so a rank-7,
+    # two-point spec (25,401,600 partitions in product) is affordable
+    seven = {
+        "genus": 2,
+        "rank": 7,
+        "degree": 1,
+        "weights": [[f"{i}/8" for i in range(1, 8)], [f"{i}/9" for i in range(1, 8)]],
+    }
+    path = write_json(tmp_path / "g2r7s2.json", seven)
+    result = run_cli("--spec", path, "--emit", "cr_table")
+    assert result.returncode == 0
+    section = json.loads(result.stdout)["outputs"]["cr_table"]
+    assert section["untwisted"] == "external-input-missing"
+    assert section["rows"] == chen_ruan_table(load_spec(path)).to_rows()
+
+
+def test_cr_table_guardrail_exits_5_at_rank_ten(tmp_path):
+    ten = {
+        "genus": 2,
+        "rank": 10,
+        "degree": 1,
+        "weights": [[f"{i}/11" for i in range(1, 11)]],
+    }
+    result = run_cli(
+        "--spec", write_json(tmp_path / "g2r10.json", ten), "--emit", "cr_table"
+    )
+    assert result.returncode == 5
+    assert result.stdout == b""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "GuardrailExceeded"
+    assert "3628800 point partitions at m = 10" in error["message"]
+
+
 def test_default_emit_set(spec_g3r2):
     report = json.loads(run_cli("--spec", spec_g3r2).stdout)
     assert sorted(report["outputs"]) == [
@@ -310,3 +347,30 @@ def test_full_report_matches_golden_digest(tmp_path, name):
     assert len(report["outputs"]) == 6
     assert report["outputs"]["cr_table"]["untwisted"] == "included"
     assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_SHA256[name]
+
+
+ORACLE_SPECS = {
+    "g2r6": GOLDEN_SPECS["g2r6"],
+    # rank 4 is not squarefree, so the dimension identity is skipped
+    "g3r4": {
+        "genus": 3,
+        "rank": 4,
+        "degree": 1,
+        "weights": [["1/9", "2/9", "1/3", "5/9"]],
+    },
+}
+# sha256 of stdout, recorded while the census still found each element's
+# order by trial and each order streamed its partitions once per check
+ORACLE_SHA256 = {
+    "g2r6": "677676b361cb362fe32f4f74082ae811447fdaf532a208838ffb2c1858155c6b",
+    "g3r4": "942c60e03b969f94af8cd8add6eb4ada0738ac36ca408dd4b4eb58ebcd3b2739",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_oracle_report_matches_golden_digest(tmp_path, name):
+    spec = write_json(tmp_path / (name + ".json"), ORACLE_SPECS[name])
+    result = run_cli("--spec", spec, "--emit", "census", "--oracle")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["oracle"]["all_pass"] is True
+    assert hashlib.sha256(result.stdout).hexdigest() == ORACLE_SHA256[name]

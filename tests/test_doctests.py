@@ -14,6 +14,7 @@ import parorb.chenruan
 import parorb.eigenflag
 import parorb.fixed_loci
 import parorb.model
+import parorb.oracles
 import parorb.partitions
 import parorb.shifts
 import parorb.torsion
@@ -24,6 +25,7 @@ MODULES = [
     parorb.eigenflag,
     parorb.fixed_loci,
     parorb.model,
+    parorb.oracles,
     parorb.partitions,
     parorb.shifts,
     parorb.torsion,
