@@ -24,16 +24,15 @@ built in.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import divisors, format_rational
-from .errors import IdentityElement, ModulusMismatch, ParseError, TableMissing
+from .errors import IdentityElement, ParseError, TableMissing
 from .fixed_loci import fixed_locus_components
-from .model import ModuliSpec, moduli_dimension
+from .model import ModuliSpec, _read_json, moduli_dimension
 from .partitions import WeightPartition, compute_orbit_section
 from .shifts import (
     DegreeShift,
@@ -44,6 +43,7 @@ from .shifts import (
 from .torsion import (
     TorsionElement,
     _equal_order_distinct_subgroups,
+    _require_same_modulus,
     canonical_element_of_order,
     count_elements_of_order,
     spectral_cover_data,
@@ -52,6 +52,22 @@ from .torsion import (
 
 # === graded carriers ========================================================
 
+def _graded_entries(pairs, what: str, convert=None) -> tuple:
+    """(grade, dim) pairs, each grade passed through convert if given, merged
+    by grade with zero dims dropped, sorted; negatives are a ValueError."""
+    cleaned: dict = {}
+    for grade, dim in pairs:
+        if convert is not None:
+            grade = convert(grade)
+        if grade < 0:
+            raise ValueError("%s must be non-negative, got %s" % (what, grade))
+        if dim < 0:
+            raise ValueError("dimensions must be non-negative, got %r" % (dim,))
+        if dim:
+            cleaned[grade] = cleaned.get(grade, 0) + dim
+    return tuple(sorted(cleaned.items()))
+
+
 @dataclass(frozen=True)
 class PoincareSeries:
     """Finitely supported integer grading: degree -> dimension (> 0 kept)."""
@@ -59,16 +75,8 @@ class PoincareSeries:
     coefficients: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        cleaned = {}
-        for degree, dim in self.coefficients:
-            if degree < 0:
-                raise ValueError("degrees must be non-negative, got %r" % (degree,))
-            if dim < 0:
-                raise ValueError("dimensions must be non-negative, got %r" % (dim,))
-            if dim:
-                cleaned[degree] = cleaned.get(degree, 0) + dim
         object.__setattr__(
-            self, "coefficients", tuple(sorted(cleaned.items()))
+            self, "coefficients", _graded_entries(self.coefficients, "degrees")
         )
 
     @classmethod
@@ -136,16 +144,9 @@ class RationalGradedDimension:
     entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        cleaned: dict[Fraction, int] = {}
-        for grade, dim in self.entries:
-            grade = Fraction(grade)
-            if grade < 0:
-                raise ValueError("grades must be non-negative, got %s" % (grade,))
-            if dim < 0:
-                raise ValueError("dimensions must be non-negative, got %r" % (dim,))
-            if dim:
-                cleaned[grade] = cleaned.get(grade, 0) + dim
-        object.__setattr__(self, "entries", tuple(sorted(cleaned.items())))
+        object.__setattr__(
+            self, "entries", _graded_entries(self.entries, "grades", Fraction)
+        )
 
     @classmethod
     def empty(cls) -> "RationalGradedDimension":
@@ -193,6 +194,9 @@ class RationalGradedDimension:
 
 # === Betti-table provider ===================================================
 
+_BETTI_KEYS = ("genus", "rank", "points", "chamber", "coefficients")
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """One externally supplied Betti series for a parabolic moduli space."""
@@ -215,14 +219,28 @@ class BettiTable:
 
     @classmethod
     def from_mapping(cls, raw) -> "BettiTable":
+        """One file entry: exactly the keys genus, rank, points (integers),
+        chamber (a string) and coefficients (a list of non-negative
+        integers); anything else is a ParseError, nothing is coerced."""
         try:
-            return cls(
-                genus=raw["genus"],
-                rank=raw["rank"],
-                points=raw["points"],
-                chamber=str(raw["chamber"]),
-                series=PoincareSeries.from_list(list(raw["coefficients"])),
-            )
+            values = [raw[key] for key in _BETTI_KEYS]
+            unknown = sorted(str(key) for key in raw if key not in _BETTI_KEYS)
+            if unknown:
+                raise ValueError("unknown key(s): %s" % ", ".join(unknown))
+            genus, rank, points, chamber, coefficients = values
+            for key, value in zip(_BETTI_KEYS, (genus, rank, points)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError("%s must be an integer, got %r" % (key, value))
+            if not isinstance(chamber, str):
+                raise ValueError("chamber must be a string, got %r" % (chamber,))
+            if not isinstance(coefficients, list) or any(
+                not isinstance(c, int) or isinstance(c, bool) for c in coefficients
+            ):
+                raise ValueError(
+                    "coefficients must be a list of integers, got %r" % (coefficients,)
+                )
+            series = PoincareSeries.from_list(coefficients)
+            return cls(genus, rank, points, chamber, series)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("bad Betti table entry: %s" % (exc,)) from None
 
@@ -279,16 +297,7 @@ class BettiProvider:
 
 def load_betti_tables(path: str) -> list[BettiTable]:
     """Read a JSON array of {genus, rank, points, chamber, coefficients}."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ParseError("cannot read Betti table file %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            "malformed JSON in %s at line %d column %d: %s"
-            % (path, exc.lineno, exc.colno, exc.msg)
-        ) from None
+    raw = _read_json(path, "Betti table")
     if not isinstance(raw, list):
         raise ParseError("Betti table file must hold a JSON array")
     return [BettiTable.from_mapping(entry) for entry in raw]
@@ -548,10 +557,7 @@ def pairing_support(
     A grade outside [0, 2 * moduli_dimension] is also forced zero: one side
     of the pairing is an empty graded piece.
     """
-    if eta.modulus != tau.modulus:
-        raise ModulusMismatch(
-            "moduli differ: %d vs %d" % (eta.modulus, tau.modulus)
-        )
+    _require_same_modulus(eta, tau)
     if isinstance(n, float):
         raise ValueError("grades must be exact rationals, not floats")
     grade = Fraction(n)
@@ -572,10 +578,7 @@ def product_support(eta1: TorsionElement, eta2: TorsionElement) -> ProductSuppor
     generated by eta2, since all non-identity elements then share the order
     p.  Unknown otherwise: only a partial description is available.
     """
-    if eta1.modulus != eta2.modulus:
-        raise ModulusMismatch(
-            "moduli differ: %d vs %d" % (eta1.modulus, eta2.modulus)
-        )
+    _require_same_modulus(eta1, eta2)
     if eta1.is_identity or eta2.is_identity:
         raise IdentityElement("product support rule needs non-identity elements")
     if _equal_order_distinct_subgroups(eta1, eta2):

@@ -28,6 +28,7 @@ from .chenruan import (
 from .errors import (
     CapabilityMissing,
     GuardrailExceeded,
+    ModeMismatch,
     ParorbError,
     ParseError,
     SpecError,
@@ -44,14 +45,13 @@ from .oracles import (
     enforce_partition_guardrail,
 )
 from .partitions import compute_orbit_section, count_partitions, enumerate_partitions
-from .shifts import degree_shift, eigenvalue_multiplicities
+from .shifts import _require_shift_hypotheses, _table_and_shift
 from .torsion import (
     TorsionElement,
     canonical_element_of_order,
     count_elements_of_order,
 )
 
-ALL_OUTPUTS = ("census", "components", "shifts", "cr_table", "euler", "product_rules")
 DEFAULT_OUTPUTS = ("census", "components", "euler", "product_rules")
 
 
@@ -121,16 +121,16 @@ def _shifts_section(spec: ModuliSpec) -> dict:
         if m == 1:
             continue
         eta = canonical_element_of_order(spec.rank, spec.genus, m)
-        section = compute_orbit_section(spec, m)
-        for rep in section.representatives:
-            table = eigenvalue_multiplicities(spec, eta, rep)
-            shift = degree_shift(spec, eta, rep)
+        # table and shift depend on eta only through m: check once per order
+        _require_shift_hypotheses(spec, eta)
+        for rep in compute_orbit_section(spec, m).representatives:
+            table, shift = _table_and_shift(spec, m, rep)
             rows.append(
                 {
                     "order": m,
                     "eta": eta.to_mapping(),
                     "orbit_representative": rep.to_mapping(),
-                    "shift": format_rational(shift.value),
+                    "shift": format_rational(shift),
                     "multiplicities": [
                         table.multiplicities[i] for i in range(1, m)
                     ],
@@ -139,14 +139,17 @@ def _shifts_section(spec: ModuliSpec) -> dict:
     return {"op": "degree_shift", "rows": rows}
 
 
+def _untwisted(spec: ModuliSpec, provider: BettiProvider) -> tuple:
+    """(the spec's own Betti series or None, the "untwisted" flag to report)."""
+    try:
+        return provider.lookup(spec.genus, spec.rank, spec.num_points), "included"
+    except TableMissing:
+        return None, "external-input-missing"
+
+
 def _cr_table_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
     enforce_histogram_guardrail(spec)
-    try:
-        untwisted = provider.lookup(spec.genus, spec.rank, spec.num_points)
-        flag = "included"
-    except TableMissing:
-        untwisted = None
-        flag = "external-input-missing"
+    untwisted, flag = _untwisted(spec, provider)
     table = chen_ruan_table(spec, provider, untwisted)
     return {
         "op": "chen_ruan_table",
@@ -157,16 +160,10 @@ def _cr_table_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
 
 def _euler_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
     certificate = [row.to_mapping() for row in euler_vanishing_certificate(spec)]
-    try:
-        untwisted = provider.lookup(spec.genus, spec.rank, spec.num_points)
-        value = untwisted.euler_characteristic()
-        flag = "included"
-    except TableMissing:
-        value = None
-        flag = "external-input-missing"
+    untwisted, flag = _untwisted(spec, provider)
     return {
         "op": "orbifold_euler",
-        "value": value,
+        "value": None if untwisted is None else untwisted.euler_characteristic(),
         "untwisted": flag,
         "certificate": certificate,
     }
@@ -226,8 +223,6 @@ def _oracle_section(spec: ModuliSpec) -> dict:
         }
     )
 
-    caps = spec.capabilities
-    dimension_ok = caps.coprime_rank_degree and caps.squarefree_rank and not spec.higgs
     for m in divisors(r):
         if m == 1:
             continue
@@ -250,7 +245,11 @@ def _oracle_section(spec: ModuliSpec) -> dict:
                 and census["orbit_count"] == section.orbit_count,
             }
         )
-        eta = canonical_element_of_order(r, g, m) if dimension_ok else None
+        eta = canonical_element_of_order(r, g, m)
+        try:
+            _require_shift_hypotheses(spec, eta)
+        except (CapabilityMissing, ModeMismatch):
+            eta = None
         pairing, identity = check_partition_identities(
             spec, m, eta, enumerate_partitions(spec, m)
         )
@@ -267,6 +266,18 @@ def _oracle_section(spec: ModuliSpec) -> dict:
     return {"op": "oracle_crosschecks", "all_pass": all_pass, "checks": checks}
 
 
+# each section name and the function that makes it, in --emit's order
+_SECTIONS = {
+    "census": lambda spec, provider: _census_section(spec),
+    "components": lambda spec, provider: _components_section(spec),
+    "shifts": lambda spec, provider: _shifts_section(spec),
+    "cr_table": _cr_table_section,
+    "euler": _euler_section,
+    "product_rules": lambda spec, provider: _product_rules_section(spec),
+}
+ALL_OUTPUTS = tuple(_SECTIONS)
+
+
 def run(config: RunConfig) -> tuple[dict, int]:
     """Build the full report; returns (document, exit status)."""
     spec = load_spec(config.spec_path)
@@ -281,18 +292,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
         "outputs": {},
     }
     for name in config.outputs:
-        if name == "census":
-            report["outputs"]["census"] = _census_section(spec)
-        elif name == "components":
-            report["outputs"]["components"] = _components_section(spec)
-        elif name == "shifts":
-            report["outputs"]["shifts"] = _shifts_section(spec)
-        elif name == "cr_table":
-            report["outputs"]["cr_table"] = _cr_table_section(spec, provider)
-        elif name == "euler":
-            report["outputs"]["euler"] = _euler_section(spec, provider)
-        elif name == "product_rules":
-            report["outputs"]["product_rules"] = _product_rules_section(spec)
+        report["outputs"][name] = _SECTIONS[name](spec, provider)
 
     status = 0
     if config.oracle_mode:

@@ -17,7 +17,12 @@ from typing import Optional
 from .errors import IdentityElement, ModulusMismatch
 from .model import ModuliSpec
 from .partitions import count_partitions
-from .torsion import TorsionElement, _equal_order_distinct_subgroups, element_order
+from .torsion import (
+    TorsionElement,
+    _equal_order_distinct_subgroups,
+    _require_same_modulus,
+    element_order,
+)
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,7 @@ def intersection_support(
     share the order p.  Everything else is PossiblyNonempty (no claim is
     made for unequal orders).  Symmetric in its arguments.
     """
-    if eta.modulus != tau.modulus:
-        raise ModulusMismatch(
-            "moduli differ: %d vs %d" % (eta.modulus, tau.modulus)
-        )
+    _require_same_modulus(eta, tau)
     if eta.is_identity or tau.is_identity:
         raise IdentityElement("intersection test needs non-identity elements")
     if _equal_order_distinct_subgroups(eta, tau):

@@ -5,8 +5,9 @@ degree of the bundles, one strictly increasing tuple of parabolic weights in
 [0, 1) per marked point (full flags: exactly `rank` weights each), plus a
 Higgs-field toggle and a genericity attestation.
 
-Construction of the dataclass only normalizes; `validate_moduli_spec` is the
-gate that enforces the actual invariants and is idempotent.
+Construction of the dataclass only normalizes (and refuses float weights);
+`validate_moduli_spec` is the gate that enforces the actual invariants and
+is idempotent.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ class ModuliSpec:
 
     def __post_init__(self):
         # normalize nested sequences to tuples of Fractions so instances
-        # hash and compare by value; no invariant is enforced here
+        # hash and compare by value; no invariant is enforced here, but a
+        # float is refused rather than turned into its binary expansion
+        if any(isinstance(w, float) for point in self.weights for w in point):
+            raise ParseError("weights must be exact rationals, not floats")
         frozen = tuple(tuple(Fraction(w) for w in point) for point in self.weights)
         object.__setattr__(self, "weights", frozen)
 
@@ -165,19 +169,23 @@ def _spec_from_mapping(raw: Mapping[str, Any]) -> ModuliSpec:
     )
 
 
-def load_spec(path: str) -> ModuliSpec:
-    """Read and validate a JSON spec file."""
+def _read_json(path: str, what: str) -> Any:
+    """Decode a JSON file; an unreadable file or bad JSON is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise ParseError("cannot read spec file %s: %s" % (path, exc)) from None
+        raise ParseError("cannot read %s file %s: %s" % (what, path, exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             "malformed JSON in %s at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from None
-    return validate_moduli_spec(raw)
+
+
+def load_spec(path: str) -> ModuliSpec:
+    """Read and validate a JSON spec file."""
+    return validate_moduli_spec(_read_json(path, "spec"))
 
 
 def spec_to_mapping(spec: ModuliSpec) -> dict[str, Any]:

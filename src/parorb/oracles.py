@@ -84,12 +84,7 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     by list slicing (blocks[i:] + blocks[:i] applied at every point), an
     independent expression of the same action.
     """
-    expected = count_partitions(spec.rank, m, spec.num_points)
-    if expected > PARTITION_LIMIT:
-        raise GuardrailExceeded(
-            "partition enumeration of %d items exceeds %d"
-            % (expected, PARTITION_LIMIT)
-        )
+    _enforce_partition_limit(spec, m)
     # relabel each point's weights by their sorted positions: partitions of
     # labels and of weights correspond one-to-one, and small-int hashing
     # keeps the exhaustive sweep affordable
@@ -183,11 +178,16 @@ def enforce_partition_guardrail(spec: ModuliSpec) -> None:
 
     Shared by oracle mode and the CLI's shifts section.
     """
-    worst = count_partitions(spec.rank, spec.rank, spec.num_points)
-    if worst > PARTITION_LIMIT:
+    _enforce_partition_limit(spec, spec.rank)
+
+
+def _enforce_partition_limit(spec: ModuliSpec, m: int) -> None:
+    """Refuse a family of more than PARTITION_LIMIT weight partitions."""
+    count = count_partitions(spec.rank, m, spec.num_points)
+    if count > PARTITION_LIMIT:
         raise GuardrailExceeded(
             "|P(alpha)| = %d at m = %d exceeds the partition guardrail %d"
-            % (worst, spec.rank, PARTITION_LIMIT)
+            % (count, m, PARTITION_LIMIT)
         )
 
 

@@ -194,6 +194,19 @@ def _point_partitions(
             yield PointPartition(blocks)
 
 
+def _partition_product(
+    spec: ModuliSpec, m: int, anchored: bool
+) -> Iterator[WeightPartition]:
+    """The product of the per-point partitions, ascending; point 0 streams,
+    anchored or not, and each later point's list is built once and shared."""
+    if m < 1 or spec.rank % m:
+        raise NotADivisor("m = %r does not divide rank = %r" % (m, spec.rank))
+    tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
+    for head in _point_partitions(spec.weights[0], m, anchored):
+        for tail in product(*tail_lists):
+            yield WeightPartition((head,) + tail)
+
+
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
     """Stream every weight partition of spec's weights into m blocks per point.
 
@@ -201,15 +214,7 @@ def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
     beyond one per-point table for the points after the first (the first
     point streams, so single-point instances use O(1) memory).
     """
-    if m < 1 or spec.rank % m:
-        raise NotADivisor("m = %r does not divide rank = %r" % (m, spec.rank))
-    tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
-    for head in _point_partitions(spec.weights[0], m):
-        if not tail_lists:
-            yield WeightPartition((head,))
-        else:
-            for tail in product(*tail_lists):
-                yield WeightPartition((head,) + tail)
+    return _partition_product(spec, m, anchored=False)
 
 
 def induced_weights(t: WeightPartition, point_index: int) -> list[list[Fraction]]:
@@ -252,8 +257,7 @@ def orbit_canonical(t: WeightPartition) -> tuple[WeightPartition, int]:
     is kept on t: the rotation amount, and the representative only when it
     is not t itself (t holding itself would be a reference cycle that keeps
     streamed partitions alive until the cyclic collector runs).  A canonical
-    t is returned as is, with amount 0; compute_orbit_section records that
-    for the representatives it builds.
+    t is returned as is, with amount 0.
     """
     try:
         rep, amount = t._orbit  # type: ignore[attr-defined]
@@ -303,24 +307,13 @@ class OrbitSection:
 def compute_orbit_section(spec: ModuliSpec, m: int) -> OrbitSection:
     """One representative per rotation orbit, without visiting the others.
 
-    Each point's ordered block partitions are enumerated once.  At point 0
-    only the partitions with the smallest weight in block 0 are kept: those
-    are exactly the least members of their orbits, and the product over
-    points of these per-point lists yields them in ascending order.  PointPartition objects,
-    and so their dominance vectors, are shared between the representatives
-    that use them.
+    The product of the per-point partitions with point 0 anchored: only the
+    partitions with point 0's smallest weight in block 0, which are exactly
+    the least members of their orbits, in ascending order.  PointPartition
+    objects, and so their dominance vectors, are shared between the
+    representatives that use them.
     """
-    if m < 1 or spec.rank % m:
-        raise NotADivisor("m = %r does not divide rank = %r" % (m, spec.rank))
-
-    per_point = [
-        list(_point_partitions(point, m, anchored=p == 0))
-        for p, point in enumerate(spec.weights)
-    ]
-    representatives = tuple(WeightPartition(combo) for combo in product(*per_point))
-    for rep in representatives:
-        object.__setattr__(rep, "_orbit", (None, 0))  # canonical by construction
-
+    representatives = tuple(_partition_product(spec, m, anchored=True))
     total = count_partitions(spec.rank, m, spec.num_points)
     if len(representatives) * m != total:
         raise AssertionError(

@@ -24,6 +24,10 @@ class TorsionElement:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        # exact ints only (bools too are refused): int() would truncate 2.7
+        # and parse "3"
+        if type(self.modulus) is not int:
+            raise ValueError("modulus must be an int, got %r" % (self.modulus,))
         if self.modulus < 1:
             raise ValueError("modulus must be positive, got %r" % (self.modulus,))
         if len(self.exponents) == 0 or len(self.exponents) % 2:
@@ -31,7 +35,10 @@ class TorsionElement:
                 "exponent vector must have even positive length 2g, got %d"
                 % len(self.exponents)
             )
-        exponents = tuple(int(e) % self.modulus for e in self.exponents)
+        for e in self.exponents:
+            if type(e) is not int:
+                raise ValueError("exponents must be ints, got %r" % (e,))
+        exponents = tuple(e % self.modulus for e in self.exponents)
         object.__setattr__(self, "exponents", exponents)
         # the order is kept outside the dataclass fields, so ==, hash and
         # repr still see only (modulus, exponents)
@@ -150,6 +157,12 @@ def pushforward_det_twist(m: int, r: int) -> DetTwist:
     return DetTwist(eta_exponent=r // 2)
 
 
+def _require_same_modulus(eta: TorsionElement, tau: TorsionElement) -> None:
+    """Raise ModulusMismatch unless eta and tau live in the same group."""
+    if eta.modulus != tau.modulus:
+        raise ModulusMismatch("moduli differ: %d vs %d" % (eta.modulus, tau.modulus))
+
+
 def cyclic_subgroup_elements(eta: TorsionElement) -> list[TorsionElement]:
     """The subgroup generated by eta, listed as 0, eta, 2·eta, ..."""
     return [eta.scale(k) for k in range(element_order(eta))]
@@ -162,10 +175,7 @@ def cyclic_subgroup_equal(eta: TorsionElement, tau: TorsionElement) -> bool:
     equal, so one membership test decides.  Raises ModulusMismatch when the
     ambient groups differ.
     """
-    if eta.modulus != tau.modulus:
-        raise ModulusMismatch(
-            "moduli differ: %d vs %d" % (eta.modulus, tau.modulus)
-        )
+    _require_same_modulus(eta, tau)
     if element_order(eta) != element_order(tau):
         return False
     return tau in cyclic_subgroup_elements(eta)

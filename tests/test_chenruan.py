@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from parorb.chenruan import (
     twisted_sector,
 )
 from parorb.arith import divisors
+from parorb.fixed_loci import intersection_support
 from parorb.errors import (
     IdentityElement,
     ModulusMismatch,
@@ -39,6 +41,7 @@ from parorb.torsion import (
     TorsionElement,
     canonical_element_of_order,
     count_elements_of_order,
+    cyclic_subgroup_equal,
 )
 
 
@@ -420,3 +423,84 @@ def test_product_rejects_identity():
     eta = TorsionElement(4, (1, 0, 0, 0))
     with pytest.raises(IdentityElement):
         product_support(eta, TorsionElement(4, (0, 0, 0, 0)))
+
+
+def test_modulus_mismatch_message_is_shared():
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=((Fraction(1, 7),) * 6,))
+    eta, tau = TorsionElement(6, (1, 0, 0, 0)), TorsionElement(4, (1, 0, 0, 0))
+    for call in (
+        lambda: cyclic_subgroup_equal(eta, tau),
+        lambda: intersection_support(eta, tau),
+        lambda: product_support(eta, tau),
+        lambda: pairing_support(0, eta, tau, spec),
+    ):
+        with pytest.raises(ModulusMismatch) as info:
+            call()
+        assert str(info.value) == "moduli differ: 6 vs 4"
+
+
+# --- strict Betti files -----------------------------------------------------
+
+GOOD_ENTRY = table_doc(3, 2, 1, "c0", [1, 0, 2, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"coefficients": [1, 0.5, 2, 0.5, 1]},
+        {"coefficients": [1, True, 1]},
+        {"coefficients": "10201"},
+        {"colour": "blue"},
+        {"genus": "3"},
+        {"genus": True},
+        {"rank": 2.0},
+        {"points": None},
+        {"chamber": 7},
+    ],
+)
+def test_betti_entry_rejects_anything_but_its_schema(change):
+    with pytest.raises(ParseError, match="bad Betti table entry"):
+        BettiTable.from_mapping(dict(GOOD_ENTRY, **change))
+
+
+def test_betti_entry_keeps_its_earlier_messages():
+    # a missing key, a negative coefficient and a non-object entry were
+    # refused before the schema was strict, and say the same as then
+    for raw, message in [
+        ({k: v for k, v in GOOD_ENTRY.items() if k != "rank"}, "'rank'"),
+        (dict(GOOD_ENTRY, coefficients=[1, -1]),
+         "dimensions must be non-negative, got -1"),
+        ([1, 2], "list indices must be integers or slices, not str"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            BettiTable.from_mapping(raw)
+        assert str(info.value) == "bad Betti table entry: " + message
+
+
+def test_betti_file_errors_keep_their_messages(tmp_path):
+    missing = str(tmp_path / "absent.json")
+    with pytest.raises(ParseError) as info:
+        load_betti_tables(missing)
+    assert str(info.value) == (
+        "cannot read Betti table file %s: [Errno 2] No such file or directory: %r"
+        % (missing, missing)
+    )
+    broken = tmp_path / "broken.json"
+    broken.write_text('[{"genus": 3,]', encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_betti_tables(str(broken))
+    assert str(info.value) == (
+        "malformed JSON in %s at line 1 column 14: "
+        "Expecting property name enclosed in double quotes" % broken
+    )
+
+
+def test_benchmark_betti_file_still_loads(tmp_path, monkeypatch):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import inputs
+
+    inputs.generate("cli-report", 1, str(tmp_path))
+    tables = load_betti_tables(str(tmp_path / "betti.json"))
+    assert tables and all(table.chamber == "generic" for table in tables)
+    assert len(BettiProvider(tables)) == len(tables)

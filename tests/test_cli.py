@@ -7,8 +7,12 @@ import sys
 
 import pytest
 
+from parorb.arith import divisors, format_rational
 from parorb.chenruan import chen_ruan_table
 from parorb.model import load_spec
+from parorb.partitions import compute_orbit_section
+from parorb.shifts import degree_shift, eigenvalue_multiplicities
+from parorb.torsion import canonical_element_of_order
 
 SPEC_G2R3 = {
     "genus": 2,
@@ -374,3 +378,70 @@ def test_oracle_report_matches_golden_digest(tmp_path, name):
     assert result.returncode == 0
     assert json.loads(result.stdout)["oracle"]["all_pass"] is True
     assert hashlib.sha256(result.stdout).hexdigest() == ORACLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_shift_rows_equal_the_library_values(tmp_path, name):
+    # uneven weights at (2,3,2) and (2,6,1); every order m != 1 of the rank
+    path = write_json(tmp_path / (name + ".json"), GOLDEN_SPECS[name])
+    result = run_cli("--spec", path, "--emit", "shifts")
+    assert result.returncode == 0
+    rows = json.loads(result.stdout)["outputs"]["shifts"]["rows"]
+    spec = load_spec(path)
+    expected = []
+    for m in divisors(spec.rank)[1:]:
+        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+        for rep in compute_orbit_section(spec, m).representatives:
+            table = eigenvalue_multiplicities(spec, eta, rep)
+            expected.append(
+                {
+                    "order": m,
+                    "eta": eta.to_mapping(),
+                    "orbit_representative": rep.to_mapping(),
+                    "shift": format_rational(degree_shift(spec, eta, rep).value),
+                    "multiplicities": [table.multiplicities[i] for i in range(1, m)],
+                }
+            )
+    assert rows == expected
+    assert sorted({row["order"] for row in rows}) == divisors(spec.rank)[1:]
+
+
+ORACLE_SKIP_SPECS = {
+    "degree_not_coprime": dict(SPEC_G2R3, degree=3),
+    "rank_four": ORACLE_SPECS["g3r4"],
+    "higgs": dict(SPEC_G2R3, higgs=True),
+    "hypotheses_hold": SPEC_G2R3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SKIP_SPECS))
+def test_oracle_skips_dimension_identity_exactly_without_shift_hypotheses(
+    tmp_path, name
+):
+    doc = ORACLE_SKIP_SPECS[name]
+    path = write_json(tmp_path / (name + ".json"), doc)
+    result = run_cli("--spec", path, "--emit", "census", "--oracle")
+    assert result.returncode == 0
+    checks = json.loads(result.stdout)["oracle"]["checks"]
+    identities = [c for c in checks if c["check"] == "dimension_identity"]
+    assert [c["order"] for c in identities] == divisors(doc["rank"])[1:]
+    if name == "hypotheses_hold":
+        assert all(c["pass"] is True and c["checked"] > 0 for c in identities)
+    else:
+        assert all(c["pass"] is None and "skipped" in c for c in identities)
+
+
+def test_betti_file_with_floats_exits_2(tmp_path, spec_g2r3):
+    entry = {
+        "genus": 2, "rank": 3, "points": 1, "chamber": "c0",
+        "coefficients": [1, 0.5, 2, 0.5, 1], "colour": "red",
+    }
+    provider = write_json(tmp_path / "tables.json", [entry])
+    result = run_cli(
+        "--spec", spec_g2r3, "--provider", provider, "--emit", "cr_table,euler"
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("bad Betti table entry: ")

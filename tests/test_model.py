@@ -213,3 +213,31 @@ def test_weights_are_normalized_to_fraction_tuples():
     assert isinstance(spec.weights, tuple)
     assert isinstance(spec.weights[0], tuple)
     assert spec.weights[0][0] == Fraction(1, 4)
+
+
+def test_float_weights_are_rejected():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ParseError, match="floats"):
+        make(weights=[[0.1, "3/4"]])
+    with pytest.raises(ParseError):  # the mapping path already wanted strings
+        validate_moduli_spec(
+            {"genus": 3, "rank": 2, "degree": 1, "weights": [[0.25, 0.75]]}
+        )
+
+
+def test_spec_file_errors_keep_their_messages(tmp_path):
+    missing = str(tmp_path / "absent.json")
+    with pytest.raises(ParseError) as info:
+        load_spec(missing)
+    assert str(info.value) == (
+        "cannot read spec file %s: [Errno 2] No such file or directory: %r"
+        % (missing, missing)
+    )
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_spec(str(broken))
+    assert str(info.value) == (
+        "malformed JSON in %s at line 1 column 2: "
+        "Expecting property name enclosed in double quotes" % broken
+    )

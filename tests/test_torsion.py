@@ -186,3 +186,19 @@ def test_order_of_scaled_element():
     eta = TorsionElement(12, (1, 0, 0, 0))
     for k in range(12):
         assert element_order(eta.scale(k)) == 12 // gcd(k, 12)
+
+
+@pytest.mark.parametrize(
+    "modulus, exponents",
+    [
+        (6, (2.7, 0, 0, 0)),  # int() would truncate it to an order-3 element
+        (6, ("3", 0, 0, 0)),
+        (6, (True, 0)),
+        (6.0, (1, 0)),
+        ("6", (1, 0)),
+        (True, (1, 0)),
+    ],
+)
+def test_element_rejects_non_integers(modulus, exponents):
+    with pytest.raises(ValueError):
+        TorsionElement(modulus, exponents)
