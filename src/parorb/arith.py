@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import NotADivisor, ParseError
 
 
 def divisors(n: int) -> list[int]:
@@ -27,6 +27,12 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _require_divisor(m: int, r: int, r_positive: bool = False) -> None:
+    """Raise NotADivisor unless m >= 1 divides r (and, if asked, r >= 1)."""
+    if m < 1 or r % m or (r_positive and r < 1):
+        raise NotADivisor("m = %r does not divide r = %r" % (m, r))
 
 
 def prime_factors(n: int) -> dict[int, int]:

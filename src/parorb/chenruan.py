@@ -29,9 +29,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
-from .arith import divisors, format_rational
-from .errors import IdentityElement, ParseError, TableMissing
-from .fixed_loci import fixed_locus_components
+from .arith import format_rational
+from .errors import ParseError, TableMissing
+from .fixed_loci import IntersectionSupport, fixed_locus_components, intersection_support
 from .model import ModuliSpec, _read_json, moduli_dimension
 from .partitions import WeightPartition, compute_orbit_section
 from .shifts import (
@@ -42,9 +42,8 @@ from .shifts import (
 )
 from .torsion import (
     TorsionElement,
-    _equal_order_distinct_subgroups,
+    _nontrivial_orders,
     _require_same_modulus,
-    canonical_element_of_order,
     count_elements_of_order,
     spectral_cover_data,
 )
@@ -52,15 +51,29 @@ from .torsion import (
 
 # === graded carriers ========================================================
 
+def _exact(value, what: str = "grades"):
+    """value itself; a float or a bool is a ValueError, where Fraction and
+    int() would quietly take both."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(
+            "%s must be exact rationals, not %ss" % (what, type(value).__name__)
+        )
+    return value
+
+
 def _graded_entries(pairs, what: str, convert=None) -> tuple:
     """(grade, dim) pairs, each grade passed through convert if given, merged
-    by grade with zero dims dropped, sorted; negatives are a ValueError."""
+    by grade with zero dims dropped, sorted; negatives, float or bool grades
+    and dims that are not ints are a ValueError."""
     cleaned: dict = {}
     for grade, dim in pairs:
+        grade = _exact(grade, what)
         if convert is not None:
             grade = convert(grade)
         if grade < 0:
             raise ValueError("%s must be non-negative, got %s" % (what, grade))
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError("dimensions must be integers, got %r" % (dim,))
         if dim < 0:
             raise ValueError("dimensions must be non-negative, got %r" % (dim,))
         if dim:
@@ -131,7 +144,7 @@ class PoincareSeries:
 
     def shifted(self, offset: Fraction) -> "RationalGradedDimension":
         """Move every degree up by an exact rational offset."""
-        offset = Fraction(offset)
+        offset = Fraction(_exact(offset, "offsets"))
         return RationalGradedDimension(
             tuple((Fraction(k) + offset, d) for k, d in self.coefficients)
         )
@@ -153,7 +166,7 @@ class RationalGradedDimension:
         return cls(())
 
     def dimension_at(self, grade) -> int:
-        grade = Fraction(grade)
+        grade = Fraction(_exact(grade))
         for x, d in self.entries:
             if x == grade:
                 return d
@@ -182,7 +195,7 @@ class RationalGradedDimension:
         )
 
     def symmetric_about(self, center: Fraction) -> bool:
-        center = Fraction(center)
+        center = Fraction(_exact(center, "centers"))
         dims = dict(self.entries)
         return all(dims.get(2 * center - x, 0) == d for x, d in self.entries)
 
@@ -208,6 +221,14 @@ class BettiTable:
     series: PoincareSeries
 
     def __post_init__(self):
+        # the one type rule for both construction paths: a table keyed by
+        # '2' or 2.0 would never match a lookup
+        for key in _BETTI_KEYS[:3]:
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError("%s must be an integer, got %r" % (key, value))
+        if not isinstance(self.chamber, str):
+            raise ValueError("chamber must be a string, got %r" % (self.chamber,))
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if not self.series.coefficients:
@@ -227,20 +248,14 @@ class BettiTable:
             unknown = sorted(str(key) for key in raw if key not in _BETTI_KEYS)
             if unknown:
                 raise ValueError("unknown key(s): %s" % ", ".join(unknown))
-            genus, rank, points, chamber, coefficients = values
-            for key, value in zip(_BETTI_KEYS, (genus, rank, points)):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError("%s must be an integer, got %r" % (key, value))
-            if not isinstance(chamber, str):
-                raise ValueError("chamber must be a string, got %r" % (chamber,))
+            *fields, coefficients = values
             if not isinstance(coefficients, list) or any(
                 not isinstance(c, int) or isinstance(c, bool) for c in coefficients
             ):
                 raise ValueError(
                     "coefficients must be a list of integers, got %r" % (coefficients,)
                 )
-            series = PoincareSeries.from_list(coefficients)
-            return cls(genus, rank, points, chamber, series)
+            return cls(*fields, PoincareSeries.from_list(coefficients))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("bad Betti table entry: %s" % (exc,)) from None
 
@@ -266,6 +281,14 @@ class BettiProvider:
     def __len__(self) -> int:
         return len(self._by_key)
 
+    def _chambers(self, genus: int, rank: int, points: int) -> list[BettiTable]:
+        """Every table on file for the triple, one per chamber."""
+        return [
+            table
+            for table in self._by_key.values()
+            if (table.genus, table.rank, table.points) == (genus, rank, points)
+        ]
+
     def lookup(
         self, genus: int, rank: int, points: int, chamber: Optional[str] = None
     ) -> PoincareSeries:
@@ -277,11 +300,7 @@ class BettiProvider:
                     "chamber=%r)" % (genus, rank, points, chamber)
                 )
             return table.series
-        matches = [
-            table
-            for table in self._by_key.values()
-            if (table.genus, table.rank, table.points) == (genus, rank, points)
-        ]
+        matches = self._chambers(genus, rank, points)
         if not matches:
             raise TableMissing(
                 "no Betti table for (genus=%d, rank=%d, points=%d)"
@@ -442,10 +461,7 @@ def chen_ruan_twisted_part(
     """
     r, g = spec.rank, spec.genus
     total = RationalGradedDimension.empty()
-    for m in divisors(r):
-        if m == 1:
-            continue
-        eta = canonical_element_of_order(r, g, m)
+    for m, eta in _nontrivial_orders(r, g):
         histogram = shift_histogram(spec, eta)  # checks the shift hypotheses
         series = _sector_series(spec, m, provider, chamber)
         _check_class_count(spec, eta, sum(histogram.values()))
@@ -496,9 +512,7 @@ def euler_vanishing_certificate(spec: ModuliSpec) -> list[_EulerCertificateRow]:
     an exact zero with no external input.
     """
     rows = []
-    for m in divisors(spec.rank):
-        if m == 1:
-            continue
+    for m, _ in _nontrivial_orders(spec.rank, spec.genus):
         prym = prym_poincare(spec.genus, m)
         chi = prym.euler_characteristic()
         rows.append(
@@ -558,9 +572,7 @@ def pairing_support(
     of the pairing is an empty graded piece.
     """
     _require_same_modulus(eta, tau)
-    if isinstance(n, float):
-        raise ValueError("grades must be exact rationals, not floats")
-    grade = Fraction(n)
+    grade = Fraction(_exact(n))
     if grade < 0 or grade > 2 * moduli_dimension(spec):
         return PairingSupport.FORCED_ZERO
     if eta.is_identity and tau.is_identity:
@@ -573,14 +585,12 @@ def pairing_support(
 def product_support(eta1: TorsionElement, eta2: TorsionElement) -> ProductSupport:
     """Is the product of the two twisted sectors forced to vanish?
 
-    ForcedZero when the orders agree but the cyclic subgroups differ.  For
-    a prime modulus that already covers every eta1 outside the subgroup
-    generated by eta2, since all non-identity elements then share the order
-    p.  Unknown otherwise: only a partial description is available.
+    Read off fixed_loci.intersection_support: the product is ForcedZero
+    exactly when the two fixed loci are ForcedEmpty (equal orders, different
+    cyclic subgroups), since it lives on their intersection.  Unknown
+    otherwise: only a partial description is available.  Its errors are
+    intersection_support's.
     """
-    _require_same_modulus(eta1, eta2)
-    if eta1.is_identity or eta2.is_identity:
-        raise IdentityElement("product support rule needs non-identity elements")
-    if _equal_order_distinct_subgroups(eta1, eta2):
+    if intersection_support(eta1, eta2) is IntersectionSupport.FORCED_EMPTY:
         return ProductSupport.FORCED_ZERO
     return ProductSupport.UNKNOWN

@@ -46,11 +46,7 @@ from .oracles import (
 )
 from .partitions import compute_orbit_section, count_partitions, enumerate_partitions
 from .shifts import _require_shift_hypotheses, _table_and_shift
-from .torsion import (
-    TorsionElement,
-    canonical_element_of_order,
-    count_elements_of_order,
-)
+from .torsion import TorsionElement, _nontrivial_orders, count_elements_of_order
 
 DEFAULT_OUTPUTS = ("census", "components", "euler", "product_rules")
 
@@ -103,10 +99,7 @@ def _census_section(spec: ModuliSpec) -> dict:
 
 def _components_section(spec: ModuliSpec) -> dict:
     rows = []
-    for m in divisors(spec.rank):
-        if m == 1:
-            continue
-        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+    for m, eta in _nontrivial_orders(spec.rank, spec.genus):
         report = fixed_locus_components(spec, eta)
         rows.append(
             {"order": m, "eta": eta.to_mapping(), **report.to_mapping()}
@@ -117,10 +110,7 @@ def _components_section(spec: ModuliSpec) -> dict:
 def _shifts_section(spec: ModuliSpec) -> dict:
     enforce_partition_guardrail(spec)
     rows = []
-    for m in divisors(spec.rank):
-        if m == 1:
-            continue
-        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+    for m, eta in _nontrivial_orders(spec.rank, spec.genus):
         # table and shift depend on eta only through m: check once per order
         _require_shift_hypotheses(spec, eta)
         for rep in compute_orbit_section(spec, m).representatives:
@@ -140,11 +130,16 @@ def _shifts_section(spec: ModuliSpec) -> dict:
 
 
 def _untwisted(spec: ModuliSpec, provider: BettiProvider) -> tuple:
-    """(the spec's own Betti series or None, the "untwisted" flag to report)."""
-    try:
-        return provider.lookup(spec.genus, spec.rank, spec.num_points), "included"
-    except TableMissing:
+    """(the spec's own Betti series or None, the "untwisted" flag to report).
+
+    Only a triple with no table on file is reported missing; several
+    chambers for it are the lookup's TableMissing (exit 4), since the CLI
+    has no way to pick one.
+    """
+    triple = (spec.genus, spec.rank, spec.num_points)
+    if not provider._chambers(*triple):
         return None, "external-input-missing"
+    return provider.lookup(*triple), "included"
 
 
 def _cr_table_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
@@ -173,9 +168,8 @@ def _product_rules_section(spec: ModuliSpec) -> dict:
     r, g = spec.rank, spec.genus
     grade = moduli_dimension(spec)
     rows = []
-    nontrivial = [m for m in divisors(r) if m != 1]
-    for m1 in nontrivial:
-        eta = canonical_element_of_order(r, g, m1)
+    nontrivial = _nontrivial_orders(r, g)
+    for _, eta in nontrivial:
         rows.append(
             {
                 "rule": "pairing_with_inverse",
@@ -184,7 +178,7 @@ def _product_rules_section(spec: ModuliSpec) -> dict:
                 "pairing": pairing_support(grade, eta, eta.inverse(), spec).value,
             }
         )
-        for m2 in nontrivial:
+        for m2, _ in nontrivial:
             for axis, offset in (("same_axis", 0), ("other_axis", 1)):
                 exponents = [0] * (2 * g)
                 exponents[offset] = r // m2
@@ -212,20 +206,18 @@ def _oracle_section(spec: ModuliSpec) -> dict:
     r, g = spec.rank, spec.genus
     checks = []
 
-    formula = {m: count_elements_of_order(r, g, m) for m in divisors(r)}
+    formula = _census_section(spec)["by_order"]
     brute = brute_force_order_census(r, g)
     checks.append(
         {
             "check": "census_bruteforce",
-            "pass": formula == brute,
-            "formula": [{"order": m, "count": c} for m, c in sorted(formula.items())],
+            "pass": {row["order"]: row["count"] for row in formula} == brute,
+            "formula": formula,
             "bruteforce": [{"order": m, "count": c} for m, c in sorted(brute.items())],
         }
     )
 
-    for m in divisors(r):
-        if m == 1:
-            continue
+    for m, eta in _nontrivial_orders(r, g):
         census = brute_force_partition_census(spec, m)
         section = compute_orbit_section(spec, m)
         checks.append(
@@ -245,7 +237,6 @@ def _oracle_section(spec: ModuliSpec) -> dict:
                 and census["orbit_count"] == section.orbit_count,
             }
         )
-        eta = canonical_element_of_order(r, g, m)
         try:
             _require_shift_hypotheses(spec, eta)
         except (CapabilityMissing, ModeMismatch):

@@ -34,7 +34,7 @@ class ParseError(ParorbError):
 
 
 class NotADivisor(ParorbError):
-    """An order argument does not divide the torsion modulus."""
+    """An order argument is not a divisor of the torsion modulus."""
 
 
 class ModulusMismatch(ParorbError):

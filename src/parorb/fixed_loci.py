@@ -14,13 +14,14 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IdentityElement, ModulusMismatch
+from .errors import IdentityElement
 from .model import ModuliSpec
 from .partitions import count_partitions
 from .torsion import (
     TorsionElement,
-    _equal_order_distinct_subgroups,
+    _require_rank_modulus,
     _require_same_modulus,
+    cyclic_subgroup_equal,
     element_order,
 )
 
@@ -68,15 +69,11 @@ def fixed_locus_components(spec: ModuliSpec, eta: TorsionElement) -> ComponentRe
     >>> fixed_locus_components(spec, TorsionElement(2, (1, 0, 0, 0, 0, 0))).total_components
     2
     """
-    if eta.modulus != spec.rank:
-        raise ModulusMismatch(
-            "torsion modulus %d does not match rank %d" % (eta.modulus, spec.rank)
-        )
+    m = _require_rank_modulus(eta, spec.rank)
     if eta.is_identity:
         raise IdentityElement(
             "identity fixes everything; use the untwisted sector path"
         )
-    m = element_order(eta)
     partition_count = count_partitions(spec.rank, m, spec.num_points)
     if spec.capabilities.squarefree_rank:
         gamma_classes: Optional[int] = partition_count // m
@@ -108,11 +105,15 @@ def intersection_support(
     subgroups.  For a prime modulus that already covers every tau outside
     the subgroup generated by eta, since all non-identity elements then
     share the order p.  Everything else is PossiblyNonempty (no claim is
-    made for unequal orders).  Symmetric in its arguments.
+    made for unequal orders).  Symmetric in its arguments.  This is the one
+    support rule: chenruan.product_support reads its verdict off this one,
+    since sectors whose fixed loci do not meet have a vanishing product.
     """
     _require_same_modulus(eta, tau)
     if eta.is_identity or tau.is_identity:
         raise IdentityElement("intersection test needs non-identity elements")
-    if _equal_order_distinct_subgroups(eta, tau):
+    if element_order(eta) == element_order(tau) and not cyclic_subgroup_equal(
+        eta, tau
+    ):
         return IntersectionSupport.FORCED_EMPTY
     return IntersectionSupport.POSSIBLY_NONEMPTY

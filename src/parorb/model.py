@@ -154,11 +154,15 @@ def _spec_from_mapping(raw: Mapping[str, Any]) -> ModuliSpec:
         weights.append(
             tuple(w if isinstance(w, Fraction) else parse_rational(w) for w in point)
         )
-    if "num_points" in raw and raw["num_points"] != len(weights):
-        raise WeightCountMismatch(
-            "num_points says %r but %d weight tuples were given"
-            % (raw["num_points"], len(weights))
-        )
+    if "num_points" in raw:
+        num_points = raw["num_points"]
+        if not isinstance(num_points, int) or isinstance(num_points, bool):
+            raise ParseError("num_points must be an integer, got %r" % (num_points,))
+        if num_points != len(weights):
+            raise WeightCountMismatch(
+                "num_points says %r but %d weight tuples were given"
+                % (num_points, len(weights))
+            )
     return ModuliSpec(
         genus=raw["genus"],
         rank=raw["rank"],

@@ -27,8 +27,8 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator
 
-from .arith import format_rational
-from .errors import IndexOutOfRange, NotADivisor
+from .arith import _require_divisor, format_rational
+from .errors import IndexOutOfRange
 from .model import ModuliSpec
 
 
@@ -149,8 +149,7 @@ def count_partitions(r: int, m: int, s: int) -> int:
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    if m < 1 or r % m:
-        raise NotADivisor("m = %r does not divide r = %r" % (m, r))
+    _require_divisor(m, r)
     l = r // m
     per_point = factorial(r) // factorial(l) ** m
     return per_point ** s
@@ -199,8 +198,7 @@ def _partition_product(
 ) -> Iterator[WeightPartition]:
     """The product of the per-point partitions, ascending; point 0 streams,
     anchored or not, and each later point's list is built once and shared."""
-    if m < 1 or spec.rank % m:
-        raise NotADivisor("m = %r does not divide rank = %r" % (m, spec.rank))
+    _require_divisor(m, spec.rank)
     tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
     for head in _point_partitions(spec.weights[0], m, anchored):
         for tail in product(*tail_lists):

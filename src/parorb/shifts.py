@@ -29,11 +29,10 @@ from .errors import (
     IdentityElement,
     IndexOutOfRange,
     ModeMismatch,
-    ModulusMismatch,
 )
 from .model import ModuliSpec, moduli_dimension
 from .partitions import WeightPartition, _point_partitions, orbit_canonical
-from .torsion import TorsionElement, element_order, spectral_cover_data
+from .torsion import TorsionElement, _require_rank_modulus, spectral_cover_data
 
 
 def dominance_count(t: WeightPartition, i: int) -> int:
@@ -72,11 +71,7 @@ def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
         raise CapabilityMissing("rank %d is not squarefree" % spec.rank)
     if spec.higgs:
         raise ModeMismatch("multiplicity formulas hold in the non-Higgs mode only")
-    if eta.modulus != spec.rank:
-        raise ModulusMismatch(
-            "torsion modulus %d does not match rank %d" % (eta.modulus, spec.rank)
-        )
-    m = element_order(eta)
+    m = _require_rank_modulus(eta, spec.rank)
     if m == 1:
         raise IdentityElement("the identity element has no twisted sector")
     return m

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import divisors, mobius
-from .errors import ModulusMismatch, NotADivisor
+from .arith import _require_divisor, divisors, mobius
+from .errors import ModulusMismatch
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def count_elements_of_order(r: int, g: int, m: int) -> int:
     """
     if r < 1 or g < 1:
         raise ValueError("need r >= 1 and g >= 1")
-    if m < 1 or r % m:
-        raise NotADivisor("m = %r does not divide r = %r" % (m, r))
+    _require_divisor(m, r)
     return sum(mobius(m // e) * e ** (2 * g) for e in divisors(m))
 
 
@@ -150,8 +149,7 @@ def pushforward_det_twist(m: int, r: int) -> DetTwist:
     (-1)^(m-1): no twist for odd m, the unique order-2 power r/2 of the
     covering element for even m.
     """
-    if m < 1 or r < 1 or r % m:
-        raise NotADivisor("m = %r does not divide r = %r" % (m, r))
+    _require_divisor(m, r, r_positive=True)
     if m % 2:
         return DetTwist(eta_exponent=0)
     return DetTwist(eta_exponent=r // 2)
@@ -161,6 +159,15 @@ def _require_same_modulus(eta: TorsionElement, tau: TorsionElement) -> None:
     """Raise ModulusMismatch unless eta and tau live in the same group."""
     if eta.modulus != tau.modulus:
         raise ModulusMismatch("moduli differ: %d vs %d" % (eta.modulus, tau.modulus))
+
+
+def _require_rank_modulus(eta: TorsionElement, rank: int) -> int:
+    """The order of eta; ModulusMismatch unless eta lives in (Z/rank)^(2g)."""
+    if eta.modulus != rank:
+        raise ModulusMismatch(
+            "torsion modulus %d does not match rank %d" % (eta.modulus, rank)
+        )
+    return eta._order
 
 
 def cyclic_subgroup_elements(eta: TorsionElement) -> list[TorsionElement]:
@@ -181,20 +188,14 @@ def cyclic_subgroup_equal(eta: TorsionElement, tau: TorsionElement) -> bool:
     return tau in cyclic_subgroup_elements(eta)
 
 
-def _equal_order_distinct_subgroups(eta: TorsionElement, tau: TorsionElement) -> bool:
-    """The support rule: equal orders but different cyclic subgroups.
-
-    Such a pair has disjoint fixed loci and a vanishing sector product.  For
-    a prime modulus p every non-identity element has order p, so this clause
-    already covers every tau outside <eta>.
-    """
-    return element_order(eta) == element_order(tau) and not cyclic_subgroup_equal(
-        eta, tau
-    )
-
-
 def canonical_element_of_order(r: int, g: int, m: int) -> TorsionElement:
     """Deterministic representative of exact order m: (r/m, 0, ..., 0)."""
-    if m < 1 or r % m:
-        raise NotADivisor("m = %r does not divide r = %r" % (m, r))
+    _require_divisor(m, r)
     return TorsionElement(r, (r // m,) + (0,) * (2 * g - 1))
+
+
+def _nontrivial_orders(r: int, g: int) -> list[tuple[int, TorsionElement]]:
+    """(m, canonical_element_of_order(r, g, m)) for each divisor m > 1 of r,
+    ascending: the one loop of every report whose values depend on a
+    non-identity element only through its order."""
+    return [(m, canonical_element_of_order(r, g, m)) for m in divisors(r)[1:]]

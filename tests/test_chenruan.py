@@ -64,6 +64,35 @@ def test_series_rejects_negative_entries():
         PoincareSeries(((1, -2),))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PoincareSeries.from_list([1, 0.5]),
+        lambda: PoincareSeries.from_list([1, True]),
+        lambda: PoincareSeries(((0.0, 1),)),
+        lambda: PoincareSeries(((True, 1),)),
+        lambda: RationalGradedDimension(((0.5, 1),)),
+        lambda: RationalGradedDimension(((True, 2),)),
+        lambda: RationalGradedDimension(((Fraction(1, 2), "1"),)),
+        lambda: RationalGradedDimension.empty().dimension_at(0.5),
+        lambda: RationalGradedDimension.empty().symmetric_about(0.5),
+        lambda: RationalGradedDimension.empty().dimension_at(False),
+        lambda: series(1, 2, 1).shifted(0.5),
+        lambda: series(1, 2, 1).shifted(True),
+    ],
+)
+def test_graded_carriers_refuse_floats_and_bools(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_graded_carriers_keep_exact_inputs():
+    rational = RationalGradedDimension((("1/2", 1), (Fraction(3, 2), 2), (2, 1)))
+    assert rational.dimension_at("1/2") == 1 and rational.dimension_at(2) == 1
+    assert rational.symmetric_about(1) is False
+    assert series(1, 2, 1).shifted(Fraction(1, 3)).dimension_at("4/3") == 2
+
+
 def test_series_totals_and_euler():
     p = series(1, 4, 6, 4, 1)
     assert p.total_dimension == 16
@@ -395,6 +424,8 @@ def test_pairing_rejects_floats_and_mixed_moduli():
     eta = TorsionElement(2, (1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         pairing_support(1.5, eta, eta, spec)
+    with pytest.raises(ValueError):
+        pairing_support(True, eta, eta, spec)
     with pytest.raises(ModulusMismatch):
         pairing_support(1, eta, TorsionElement(3, (1, 0, 0, 0, 0, 0)), spec)
 
@@ -440,6 +471,22 @@ def test_modulus_mismatch_message_is_shared():
 
 
 # --- strict Betti files -----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("2", 3, 1, "c0"), "genus must be an integer, got '2'"),
+        ((2, 3.0, 1, "c0"), "rank must be an integer, got 3.0"),
+        ((2, 3, True, "c0"), "points must be an integer, got True"),
+        ((2, 3, 1, 7), "chamber must be a string, got 7"),
+    ],
+)
+def test_betti_table_constructor_shares_the_file_type_rule(fields, message):
+    # the rule of from_mapping, so a table no lookup can match is refused
+    with pytest.raises(ValueError) as info:
+        BettiTable(*fields, series(1, 0, 1))
+    assert str(info.value) == message
+
 
 GOOD_ENTRY = table_doc(3, 2, 1, "c0", [1, 0, 2, 0, 1])
 

@@ -9,10 +9,11 @@ import pytest
 
 from parorb.arith import divisors, format_rational
 from parorb.chenruan import chen_ruan_table
+from parorb.cli import RunConfig, run
 from parorb.model import load_spec
 from parorb.partitions import compute_orbit_section
 from parorb.shifts import degree_shift, eigenvalue_multiplicities
-from parorb.torsion import canonical_element_of_order
+from parorb.torsion import TorsionElement, canonical_element_of_order, element_order
 
 SPEC_G2R3 = {
     "genus": 2,
@@ -177,6 +178,17 @@ def test_invalid_spec_exits_2(tmp_path):
     assert json.loads(result.stderr)["error"]["type"] == "GenusTooSmall"
 
 
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_num_points_must_be_an_integer_exits_2(tmp_path, value):
+    doc = dict(SPEC_G3R2, num_points=value)
+    result = run_cli("--spec", write_json(tmp_path / "points.json", doc))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "num_points must be an integer, got %r" % (value,)
+
+
 def test_unknown_emit_exits_2(spec_g2r3):
     result = run_cli("--spec", spec_g2r3, "--emit", "census,nonsense")
     assert result.returncode == 2
@@ -227,6 +239,27 @@ def test_table_missing_exits_4(tmp_path):
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "TableMissing"
     assert "genus=3" in error["message"] or "genus=4" in error["message"]
+
+
+@pytest.mark.parametrize("emit", ["euler", "cr_table"])
+def test_several_chambers_for_the_spec_exit_4(tmp_path, spec_g2r3, emit):
+    # two chambers for the spec's own (genus, rank, points) are not a
+    # missing table: the CLI cannot choose, so it stops as a lookup does
+    tables = [
+        {"genus": 2, "rank": 3, "points": 1, "chamber": chamber,
+         "coefficients": [1, 0, 2, 0, 1]}
+        for chamber in ("c0", "c1")
+    ]
+    provider = write_json(tmp_path / "tables.json", tables)
+    result = run_cli("--spec", spec_g2r3, "--provider", provider, "--emit", emit)
+    assert result.returncode == 4
+    assert result.stdout == b""
+    error = json.loads(result.stderr)["error"]
+    assert error["type"] == "TableMissing"
+    assert error["message"] == (
+        "several chambers on file for (genus=2, rank=3, points=1); "
+        "pass an explicit chamber"
+    )
 
 
 def test_guardrail_exits_5_for_oracle_census(tmp_path):
@@ -445,3 +478,31 @@ def test_betti_file_with_floats_exits_2(tmp_path, spec_g2r3):
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "ParseError"
     assert error["message"].startswith("bad Betti table entry: ")
+
+
+def _order(mapping):
+    return element_order(TorsionElement.from_mapping(mapping))
+
+
+SPEC_G2R6 = dict(SPEC_G2R3, rank=6, weights=[[f"{i}/7" for i in range(1, 7)]])
+
+
+@pytest.mark.parametrize(
+    "doc", [SPEC_G3R2, SPEC_G2R3, SPEC_G2R6], ids=["r2", "r3", "r6"]
+)
+def test_rows_visit_the_nontrivial_orders_ascending(tmp_path, doc):
+    path = write_json(tmp_path / "spec.json", doc)
+    config = RunConfig(path, outputs=("components", "shifts", "product_rules"))
+    outputs = run(config)[0]["outputs"]
+    orders = divisors(doc["rank"])[1:]
+    assert [row["order"] for row in outputs["components"]["rows"]] == orders
+    shift_orders = [row["order"] for row in outputs["shifts"]["rows"]]
+    assert shift_orders == sorted(shift_orders)
+    assert list(dict.fromkeys(shift_orders)) == orders
+    rules = outputs["product_rules"]["rows"]
+    assert [
+        _order(row["eta"]) for row in rules if row["rule"] == "pairing_with_inverse"
+    ] == orders
+    assert [_order(row["tau"]) for row in rules if row["rule"] == "order_pair"] == [
+        m2 for _ in orders for m2 in orders for _axis in range(2)
+    ]

@@ -13,7 +13,13 @@ from parorb.fixed_loci import (
     intersection_support,
 )
 from parorb.model import ModuliSpec
-from parorb.partitions import count_partitions
+from parorb.partitions import count_partitions, enumerate_partitions
+from parorb.shifts import (
+    degree_shift,
+    eigenvalue_multiplicities,
+    fixed_component_dimension,
+    shift_histogram,
+)
 from parorb.torsion import TorsionElement, canonical_element_of_order
 
 FORCED = IntersectionSupport.FORCED_EMPTY
@@ -38,6 +44,22 @@ def test_component_counts_track_partition_counts():
             assert report.components_per_partition == m
             assert report.gamma_classes == expected // m
             assert report.free_transitive_subgroup_order == m
+
+
+def test_rank_modulus_message_is_shared():
+    spec = spec_for(6, 1)
+    eta = TorsionElement(4, (2, 0, 0, 0, 0, 0))
+    t = next(enumerate_partitions(spec, 2))
+    for call in (
+        lambda: fixed_locus_components(spec, eta),
+        lambda: eigenvalue_multiplicities(spec, eta, t),
+        lambda: degree_shift(spec, eta, t),
+        lambda: fixed_component_dimension(spec, eta),
+        lambda: shift_histogram(spec, eta),
+    ):
+        with pytest.raises(ModulusMismatch) as info:
+            call()
+        assert str(info.value) == "torsion modulus 4 does not match rank 6"
 
 
 def test_report_depends_only_on_eta_order():

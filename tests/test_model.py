@@ -153,6 +153,15 @@ def test_mapping_num_points_consistency():
         validate_moduli_spec(raw)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_mapping_num_points_must_be_an_integer(value):
+    # True == 1 and 1.0 == 1, so an equality check alone let both through
+    with pytest.raises(ParseError) as info:
+        validate_moduli_spec({**MINIMAL, "num_points": value})
+    assert str(info.value) == "num_points must be an integer, got %r" % (value,)
+    assert validate_moduli_spec({**MINIMAL, "num_points": 1}).num_points == 1
+
+
 def test_load_spec_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     doc = {

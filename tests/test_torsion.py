@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from parorb.errors import IdentityElement, ModulusMismatch, NotADivisor
+from parorb.partitions import count_partitions
 from parorb.torsion import (
     DetTwist,
     TorsionElement,
@@ -115,6 +116,18 @@ def test_census_divisor_sum_is_group_size():
 def test_census_rejects_non_divisor():
     with pytest.raises(NotADivisor):
         count_elements_of_order(6, 2, 4)
+
+
+def test_not_a_divisor_message_is_shared():
+    for call in (
+        lambda: count_partitions(6, 4, 1),
+        lambda: count_elements_of_order(6, 2, 4),
+        lambda: canonical_element_of_order(6, 2, 4),
+        lambda: pushforward_det_twist(4, 6),
+    ):
+        with pytest.raises(NotADivisor) as info:
+            call()
+        assert str(info.value) == "m = 4 does not divide r = 6"
 
 
 def test_spectral_cover_genus_riemann_hurwitz():
