@@ -81,6 +81,14 @@ def _graded_entries(pairs, what: str, convert=None) -> tuple:
     return tuple(sorted(cleaned.items()))
 
 
+def _integer_degree(degree) -> int:
+    """degree itself; anything but an int (Fraction(2) and "2" too) is a
+    ValueError, since to_list and euler_characteristic index by degree."""
+    if not isinstance(degree, int):
+        raise ValueError("degrees must be integers, got %r" % (degree,))
+    return degree
+
+
 @dataclass(frozen=True)
 class PoincareSeries:
     """Finitely supported integer grading: degree -> dimension (> 0 kept)."""
@@ -88,9 +96,8 @@ class PoincareSeries:
     coefficients: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", _graded_entries(self.coefficients, "degrees")
-        )
+        entries = _graded_entries(self.coefficients, "degrees", _integer_degree)
+        object.__setattr__(self, "coefficients", entries)
 
     @classmethod
     def from_list(cls, dims: Iterable[int]) -> "PoincareSeries":
@@ -231,6 +238,10 @@ class BettiTable:
             raise ValueError("chamber must be a string, got %r" % (self.chamber,))
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
+        if not isinstance(self.series, PoincareSeries):
+            raise ValueError(
+                "series must be a PoincareSeries, got %r" % (self.series,)
+            )
         if not self.series.coefficients:
             raise ValueError("series must be nonempty")
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .arith import divisors, format_rational
 from .chenruan import (
@@ -119,7 +120,10 @@ def _shifts_section(spec: ModuliSpec) -> dict:
                 {
                     "order": m,
                     "eta": eta.to_mapping(),
-                    "orbit_representative": rep.to_mapping(),
+                    # shared per-point tuples: each is rendered once
+                    "orbit_representative": [
+                        point.formatted_blocks() for point in rep.per_point
+                    ],
                     "shift": format_rational(shift),
                     "multiplicities": [
                         table.multiplicities[i] for i in range(1, m)
@@ -297,7 +301,81 @@ def run(config: RunConfig) -> tuple[dict, int]:
 # === rendering ==============================================================
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of `json.dumps(report, sort_keys=True, indent=2)` plus a
+    newline, without the pure-Python encoder that `indent` selects.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
+    other value (float and Fraction included) raises TypeError.
+
+    >>> print(render_json({"flags": [True, 1], "none": [], "empty": {}}), end="")
+    {
+      "empty": {},
+      "flags": [
+        true,
+        1
+      ],
+      "none": []
+    }
+    """
+    return _render(report, "\n", {}) + "\n"
+
+
+def _render(value, newline: str, memo: dict) -> str:
+    """One value whose opening line ends in `newline` (its indentation).
+
+    A tuple is taken to be an immutable fragment: it is rendered once per
+    (object, indentation) and memo keeps the text for the rest of the call.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+        return "{%s%s%s}" % (
+            inner,
+            ("," + inner).join(
+                encode_basestring_ascii(key) + ": " + _render(value[key], inner, memo)
+                for key in sorted(value)
+            ),
+            newline,
+        )
+    if isinstance(value, tuple):
+        key = (id(value), len(newline))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _render_items(value, newline, inner, memo)
+        return text
+    if isinstance(value, list):
+        return _render_items(value, newline, inner, memo)
+    raise TypeError(
+        "cannot render %s: only dict, list, tuple, str, int, bool and None"
+        % type(value).__name__
+    )
+
+
+def _render_items(items, newline: str, inner: str, memo: dict) -> str:
+    if not items:
+        return "[]"
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        texts = map(encode_basestring_ascii, items)
+    elif kinds == {int}:
+        texts = map(int.__repr__, items)
+    else:
+        texts = (_render(item, inner, memo) for item in items)
+    return "[%s%s%s]" % (inner, ("," + inner).join(texts), newline)
 
 
 def _render_value(value) -> str:

@@ -86,6 +86,21 @@ def test_graded_carriers_refuse_floats_and_bools(build):
         build()
 
 
+@pytest.mark.parametrize("degree", [Fraction(1, 2), Fraction(2), "2"])
+def test_series_refuses_degrees_that_are_not_ints(degree):
+    # a Fraction or string degree would break to_list and the Euler parity
+    with pytest.raises(ValueError) as info:
+        PoincareSeries(((degree, 1), (1, 2)))
+    assert str(info.value) == "degrees must be integers, got %r" % (degree,)
+
+
+def test_series_keeps_its_float_and_bool_messages():
+    for degree, kind in ((0.0, "floats"), (True, "bools")):
+        with pytest.raises(ValueError) as info:
+            PoincareSeries(((degree, 1),))
+        assert str(info.value) == "degrees must be exact rationals, not %s" % kind
+
+
 def test_graded_carriers_keep_exact_inputs():
     rational = RationalGradedDimension((("1/2", 1), (Fraction(3, 2), 2), (2, 1)))
     assert rational.dimension_at("1/2") == 1 and rational.dimension_at(2) == 1
@@ -486,6 +501,12 @@ def test_betti_table_constructor_shares_the_file_type_rule(fields, message):
     with pytest.raises(ValueError) as info:
         BettiTable(*fields, series(1, 0, 1))
     assert str(info.value) == message
+
+
+def test_betti_table_constructor_refuses_a_series_that_is_not_one():
+    with pytest.raises(ValueError) as info:
+        BettiTable(2, 3, 1, "c0", [1, 0, 1])
+    assert str(info.value) == "series must be a PoincareSeries, got [1, 0, 1]"
 
 
 GOOD_ENTRY = table_doc(3, 2, 1, "c0", [1, 0, 2, 0, 1])

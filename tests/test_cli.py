@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from parorb.arith import divisors, format_rational
 from parorb.chenruan import chen_ruan_table
-from parorb.cli import RunConfig, run
+from parorb.cli import RunConfig, render_json, run
 from parorb.model import load_spec
 from parorb.partitions import compute_orbit_section
 from parorb.shifts import degree_shift, eigenvalue_multiplicities
@@ -386,6 +388,22 @@ def test_full_report_matches_golden_digest(tmp_path, name):
     assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_SHA256[name]
 
 
+# sha256 of --format table stdout, recorded while shift rows still held
+# fresh lists from WeightPartition.to_mapping
+GOLDEN_TABLE_SHA256 = {
+    "g2r6": "e24d0b6d84a8aa82746640c2dfc00230961a1aae0e054e83e5a8d187b2b31b43",
+    "g2r3s2": "96db41ace53630456a10abf1b528fbe1a4e0fad4084f98f875f03a0856183946",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_table_report_matches_golden_digest(tmp_path, name):
+    spec = write_json(tmp_path / (name + ".json"), GOLDEN_SPECS[name])
+    result = run_cli("--spec", spec, "--format", "table", "--emit", "shifts,census")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_TABLE_SHA256[name]
+
+
 ORACLE_SPECS = {
     "g2r6": GOLDEN_SPECS["g2r6"],
     # rank 4 is not squarefree, so the dimension identity is skipped
@@ -506,3 +524,82 @@ def test_rows_visit_the_nontrivial_orders_ascending(tmp_path, doc):
     assert [_order(row["tau"]) for row in rules if row["rule"] == "order_pair"] == [
         m2 for _ in orders for m2 in orders for _axis in range(2)
     ]
+
+
+# --- render_json against json.dumps --------------------------------------------
+
+TEXT = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001f600'
+
+
+def reference_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT) for _ in range(rng.randrange(5)))
+
+
+def random_doc(rng, shared, depth=0):
+    """A nested document; containers may be empty at any depth, and a
+    tuple from shared may turn up anywhere, at any depth."""
+    kind = rng.randrange(11 if depth < 5 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([0, -1, 7, -(2**70), rng.randrange(-1000, 1000)])
+    if kind in (3, 4):
+        return random_text(rng)
+    if kind == 5:  # ints with bools mixed in
+        return [rng.choice([0, 1, True, False, -3]) for _ in range(rng.randrange(4))]
+    if kind == 6:  # all strings
+        return [random_text(rng) for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return rng.choice(shared)
+    items = [random_doc(rng, shared, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 8:
+        return items
+    if kind == 9:
+        return tuple(items)
+    return {random_text(rng): item for item in items}
+
+
+def test_render_json_matches_json_dumps_on_random_documents():
+    rng = random.Random(20221018)
+    shared = [(), ("x", 1), ((1, 2), ("a", "\xe9")), ([], {}, (None, True))]
+    for _ in range(400):
+        doc = random_doc(rng, shared)
+        for whole in (doc, [doc, [doc]]):  # each tuple in doc at two depths
+            assert render_json(whole) == reference_json(whole)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        {"a": [[], {}, ()], "b": ({"c": []},), "": {"d": {"e": ()}}},
+        {"flags": [True, 1, False, 0], "none": None, "ints": [1, -2, 2**80]},
+        ["\u00e9\u4e2d\U0001f600", "\"\\\n\t\x00\x7f"],
+    ],
+)
+def test_render_json_matches_json_dumps_on_edge_cases(doc):
+    assert render_json(doc) == reference_json(doc)
+
+
+def test_render_json_keeps_the_indent_of_a_shared_tuple():
+    # one tuple object at depths 1, 3 and 4: a memo keyed by the object
+    # alone would print it with the first depth's indentation everywhere
+    shared = (("1/2", "1/3"), [4, 5], {"k": None})
+    doc = {"a": shared, "b": [[shared]], "c": {"d": [shared, shared]}}
+    assert render_json(doc) == reference_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{"x": 0.5}, {"x": [1, 2.0]}, {"x": Fraction(1, 2)}, {1: "x"}]
+)
+def test_render_json_refuses_what_the_report_never_holds(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)

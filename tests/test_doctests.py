@@ -11,6 +11,7 @@ import pytest
 import parorb
 import parorb.arith
 import parorb.chenruan
+import parorb.cli
 import parorb.eigenflag
 import parorb.fixed_loci
 import parorb.model
@@ -22,6 +23,7 @@ import parorb.torsion
 MODULES = [
     parorb.arith,
     parorb.chenruan,
+    parorb.cli,
     parorb.eigenflag,
     parorb.fixed_loci,
     parorb.model,
