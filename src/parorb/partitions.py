@@ -7,11 +7,14 @@ per point, is a WeightPartition.  The cyclic rotation of block positions
 m; the lexicographically least member of an orbit is its representative.
 
 Weights within a point are distinct, so every combinatorial quantity depends
-only on their ranks 0..r-1, and the least rotation is always the one that
-puts point 0's smallest weight into block 0 (that block is the only one
-starting with the smallest weight).  compute_orbit_section therefore
-enumerates exactly those partitions, and orbit_canonical only has to find
-which block holds that weight.
+only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
+small ints are chosen and compared, each partition's dominance vector is
+counted from its ranks, and a point's sorted weights are attached only to
+the blocks of each yielded PointPartition.  The least rotation is always the
+one that puts point 0's smallest weight (rank 0) into block 0, the only
+block starting with it.  compute_orbit_section therefore builds exactly the
+partitions whose first block starts with rank 0, and orbit_canonical only
+has to find which block holds that weight.
 
 Blocks are kept internally sorted, so comparisons and representatives are
 deterministic: partitions compare by (point index, block index, block
@@ -59,10 +62,11 @@ class PointPartition:
     def dominance_vector(self) -> tuple[int, ...]:
         """Entry i counts the pairs a > b with b in the block i places after a's.
 
-        Read off the block of each weight in ascending order (the point's
-        labelling) and count over those labels, once per object; enumerations
-        share PointPartition objects, so the vector is kept.  Weights within
-        a point must be distinct: the count runs on their ranks.
+        Kept once per object.  Enumerations set it from the ranks they
+        already hold, and share PointPartition objects.  A partition built
+        directly sorts its weights once, to read off the block of each rank,
+        and counts with the same rule.  Weights within a point must be
+        distinct: the count runs on their ranks.
         """
         try:
             return self._dominance  # type: ignore[attr-defined]
@@ -71,16 +75,20 @@ class PointPartition:
         labelled = sorted((w, j) for j, block in enumerate(self.blocks) for w in block)
         if any(x[0] == y[0] for x, y in zip(labelled, labelled[1:])):
             raise ValueError("weights within a point must be distinct")
-        # blk[k] is the block of the k-th smallest weight; one pass over the
-        # r(r-1)/2 label pairs b < a gives every i at once
-        blk = [j for _, j in labelled]
-        counts = [0] * self.m
-        for a, blk_a in enumerate(blk):
-            for blk_b in blk[:a]:
-                counts[(blk_b - blk_a) % self.m] += 1
-        vector = tuple(counts)
+        vector = _dominance_counts([j for _, j in labelled], self.m)
         object.__setattr__(self, "_dominance", vector)
         return vector
+
+    @classmethod
+    def _enumerated(
+        cls, blocks: tuple[tuple[Fraction, ...], ...], dominance: tuple[int, ...]
+    ) -> PointPartition:
+        """A partition from _point_partitions: blocks already sorted and of
+        equal size, and its dominance vector counted from the ranks."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "blocks", blocks)
+        object.__setattr__(part, "_dominance", dominance)
+        return part
 
     def formatted_blocks(self) -> tuple[tuple[str, ...], ...]:
         """The blocks with each weight as its exact string, built once per
@@ -103,9 +111,11 @@ class WeightPartition:
     def __post_init__(self):
         if not self.per_point:
             raise ValueError("a weight partition needs at least one point")
-        m, l = self.per_point[0].m, self.per_point[0].block_size
-        if any(p.m != m or p.block_size != l for p in self.per_point):
-            raise ValueError("all points must share the same block shape")
+        first = self.per_point[0].blocks
+        m, l = len(first), len(first[0])
+        for p in self.per_point:
+            if len(p.blocks) != m or len(p.blocks[0]) != l:
+                raise ValueError("all points must share the same block shape")
 
     @property
     def m(self) -> int:
@@ -125,7 +135,7 @@ class WeightPartition:
             return self._dominance  # type: ignore[attr-defined]
         except AttributeError:
             pass
-        vector = tuple(map(sum, zip(*(p.dominance_vector() for p in self.per_point))))
+        vector = tuple(map(sum, zip(*[p.dominance_vector() for p in self.per_point])))
         object.__setattr__(self, "_dominance", vector)
         return vector
 
@@ -155,29 +165,45 @@ def count_partitions(r: int, m: int, s: int) -> int:
     return per_point ** s
 
 
-def _ordered_block_partitions(
-    weights: Iterable[Fraction], m: int
-) -> Iterator[tuple[tuple[Fraction, ...], ...]]:
-    """Ordered partitions of distinct sorted weights into m equal blocks.
+def _dominance_counts(blk: list[int], m: int) -> tuple[int, ...]:
+    """Entry i counts the rank pairs b < a with blk[b] - blk[a] = i mod m.
 
-    Yields block tuples in lexicographic order (blocks themselves sorted);
-    block order matters, so all m! arrangements of a given set partition
-    appear.
+    blk[k] is the block of the k-th smallest weight; one pass over the
+    r(r-1)/2 pairs gives every i at once.
     """
-    items = tuple(weights)
-    l = len(items) // m
+    counts = [0] * m
+    for a, blk_a in enumerate(blk):
+        for blk_b in blk[:a]:
+            counts[(blk_b - blk_a) % m] += 1
+    return tuple(counts)
 
-    def rec(remaining: tuple[Fraction, ...]) -> Iterator[tuple]:
+
+def _rank_partitions(
+    r: int, m: int, anchored: bool
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Ordered partitions of the ranks 0..r-1 into m blocks of r/m, ascending.
+
+    Blocks are sorted, and all m! arrangements of a set partition appear.
+    anchored yields only the partitions whose first block starts with rank
+    0, which lead the stream, and builds no other.
+    """
+    l = r // m
+
+    def rec(remaining, heads):
         if len(remaining) == l:
             yield (remaining,)
             return
-        for first in combinations(remaining, l):
-            chosen = set(first)
-            rest = tuple(x for x in remaining if x not in chosen)
-            for tail in rec(rest):
-                yield (first,) + tail
+        for head in heads:
+            rest = tuple(k for k in remaining if k not in head)
+            for tail in rec(rest, combinations(rest, l)):
+                yield (head,) + tail
 
-    return rec(items)
+    ranks = tuple(range(r))
+    if anchored:
+        heads = ((0,) + more for more in combinations(ranks[1:], l - 1))
+    else:
+        heads = combinations(ranks, l)
+    return rec(ranks, heads)
 
 
 def _point_partitions(
@@ -185,12 +211,24 @@ def _point_partitions(
 ) -> Iterator[PointPartition]:
     """One point's ordered block partitions, ascending.
 
-    anchored keeps only the partitions with the smallest weight in block 0.
+    Enumeration runs on the ranks of the weights.  The sorted weights are
+    attached only to the blocks of each yielded partition, whose dominance
+    vector is set from the ranks, with no sort.  anchored keeps only the
+    partitions with the smallest weight in block 0.  Tied weights raise
+    ValueError before anything is yielded.
     """
     ranked = sorted(weights)
-    for blocks in _ordered_block_partitions(ranked, m):
-        if not anchored or blocks[0][0] == ranked[0]:
-            yield PointPartition(blocks)
+    if any(a == b for a, b in zip(ranked, ranked[1:])):
+        raise ValueError("weights within a point must be distinct")
+    blk = [0] * len(ranked)
+    for blocks in _rank_partitions(len(ranked), m, anchored):
+        for j, block in enumerate(blocks):
+            for k in block:
+                blk[k] = j
+        yield PointPartition._enumerated(
+            tuple(tuple(ranked[k] for k in block) for block in blocks),
+            _dominance_counts(blk, m),
+        )
 
 
 def _partition_product(

@@ -396,6 +396,32 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 
+DEEP_GOLDEN_SPEC = {
+    "genus": 2,
+    "rank": 7,
+    "degree": 3,
+    "weights": [["1/11", "1/5", "2/7", "3/8", "1/2", "2/3", "5/6"]],
+}
+# sha256 of stdout at m = 7, where anchoring keeps 720 of 5040 partitions,
+# recorded while point partitions were still enumerated on Fraction weights
+# and anchored by filtering after enumeration
+DEEP_GOLDEN_SHA256 = "5ca600b11410574dbcf047afbb3036201619802dfabc0c8db90de90fe14fa2f4"
+
+
+def test_rank_seven_full_report_matches_golden_digest(tmp_path):
+    provider = write_json(tmp_path / "tables.json", GOLDEN_TABLES)
+    spec = write_json(tmp_path / "g2r7.json", DEEP_GOLDEN_SPEC)
+    result = run_cli(
+        "--spec", spec, "--provider", provider,
+        "--emit", "census,components,shifts,cr_table,euler,product_rules",
+    )
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert len(report["outputs"]["shifts"]["rows"]) == 720
+    assert report["outputs"]["cr_table"]["untwisted"] == "external-input-missing"
+    assert hashlib.sha256(result.stdout).hexdigest() == DEEP_GOLDEN_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_table_report_matches_golden_digest(tmp_path, name):
     spec = write_json(tmp_path / (name + ".json"), GOLDEN_SPECS[name])
@@ -429,6 +455,28 @@ def test_oracle_report_matches_golden_digest(tmp_path, name):
     assert result.returncode == 0
     assert json.loads(result.stdout)["oracle"]["all_pass"] is True
     assert hashlib.sha256(result.stdout).hexdigest() == ORACLE_SHA256[name]
+
+
+DEEP_ORACLE_SPEC = {
+    "genus": 2,
+    "rank": 5,
+    "degree": 2,
+    "weights": [
+        ["0", "1/7", "1/3", "3/5", "7/8"],
+        ["1/10", "1/4", "2/5", "5/9", "4/5"],
+    ],
+}
+# sha256 of stdout at m = 5 over two points (14,400 partitions), recorded
+# while point partitions were still enumerated on Fraction weights
+DEEP_ORACLE_SHA256 = "2ce868664b2e1c4dbf697353ad25db95178c6926e5df23c4819f20d51ee0e40e"
+
+
+def test_rank_five_two_point_oracle_report_matches_golden_digest(tmp_path):
+    spec = write_json(tmp_path / "g2r5s2.json", DEEP_ORACLE_SPEC)
+    result = run_cli("--spec", spec, "--emit", "census", "--oracle")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["oracle"]["all_pass"] is True
+    assert hashlib.sha256(result.stdout).hexdigest() == DEEP_ORACLE_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))

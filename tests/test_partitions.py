@@ -9,9 +9,11 @@ import pytest
 
 from parorb.errors import IndexOutOfRange
 from parorb.model import ModuliSpec
+from parorb.oracles import brute_force_point_partitions
 from parorb.partitions import (
     PointPartition,
     WeightPartition,
+    _point_partitions,
     compute_orbit_section,
     count_partitions,
     enumerate_partitions,
@@ -167,6 +169,40 @@ def test_dominance_vector_needs_distinct_weights():
     tied = PointPartition(((Fraction(1, 4),), (Fraction(1, 4),)))
     with pytest.raises(ValueError):
         tied.dominance_vector()
+
+
+TIED_POINT = (0, Fraction(1, 2), Fraction(1, 2), Fraction(3, 4))
+DISTINCT_POINT = (Fraction(1, 9), Fraction(1, 3), Fraction(2, 5), Fraction(5, 6))
+
+
+@pytest.mark.parametrize(
+    "weights", [(TIED_POINT,), (DISTINCT_POINT, TIED_POINT)], ids=["first", "second"]
+)
+def test_tied_weights_are_refused_before_enumeration(weights):
+    # unvalidated spec: tied weights used to yield 2 of the 6 partitions at
+    # the first point, and the orbit section raised a bare AssertionError
+    spec = ModuliSpec(genus=2, rank=4, degree=1, weights=weights)
+    with pytest.raises(ValueError, match="weights within a point must be distinct"):
+        next(enumerate_partitions(spec, 2))
+    with pytest.raises(ValueError, match="weights within a point must be distinct"):
+        compute_orbit_section(spec, 2)
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_point_partitions_exhaustively_against_brute_force(r):
+    # every m | r, on unevenly spaced weights given out of order
+    rng = random.Random(7100 + r)
+    weights = uneven_spec(r, 1, seed=7000 + r).weights[0]
+    shuffled = list(weights)
+    rng.shuffle(shuffled)
+    for m in (d for d in range(1, r + 1) if r % d == 0):
+        every = list(_point_partitions(shuffled, m))
+        assert [p.blocks for p in every] == sorted(brute_force_point_partitions(weights, m))
+        anchored = list(_point_partitions(shuffled, m, anchored=True))
+        assert anchored == [p for p in every if p.blocks[0][0] == weights[0]]
+        assert len(anchored) == count_partitions(r, m, 1) // m
+        for p in every:
+            assert p.dominance_vector() == PointPartition(p.blocks).dominance_vector()
 
 
 def test_orbit_section_locate_inverts_rotation():

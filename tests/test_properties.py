@@ -1,0 +1,100 @@
+"""Seeded property tests on random-weight specs, past the exhaustive cases.
+
+Twenty specs drawn with stdlib random: squarefree rank r <= 7, one or two
+marked points, genus 2 or 3, a degree coprime to r, and unevenly spaced
+weights with assorted denominators.  Shapes whose product of partitions
+would be too long to walk (r >= 6 with two points) get one point.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from parorb.arith import divisors
+from parorb.chenruan import BettiProvider, BettiTable, PoincareSeries, twisted_sector
+from parorb.model import ModuliSpec
+from parorb.partitions import compute_orbit_section, enumerate_partitions, galois_rotate
+from parorb.shifts import degree_shift, dominance_count, shift_histogram
+from parorb.torsion import canonical_element_of_order
+
+
+def random_spec(rng):
+    r = rng.choice((2, 3, 5, 6, 7))
+    s = 1 if r >= 6 else rng.choice((1, 2))
+    g = rng.choice((2, 3))
+    degree = rng.choice([d for d in range(1, 2 * r) if gcd(d, r) == 1])
+    points = []
+    for _ in range(s):
+        chosen = set()
+        while len(chosen) < r:
+            q = rng.randint(r + 1, 97)
+            chosen.add(Fraction(rng.randrange(q), q))
+        points.append(tuple(sorted(chosen)))
+    return ModuliSpec(genus=g, rank=r, degree=degree, weights=tuple(points))
+
+
+_RNG = random.Random(20221018)
+SPECS = [random_spec(_RNG) for _ in range(20)]
+
+
+def sector_provider(spec):
+    """A table for every small-rank lookup of spec's sectors (l > 1)."""
+    tables = []
+    for m in divisors(spec.rank)[1:-1]:
+        cover_genus = m * (spec.genus - 1) + 1
+        tables.append(
+            BettiTable(
+                cover_genus, spec.rank // m, spec.num_points * m, "c",
+                PoincareSeries.from_list([1, 0, 1]),
+            )
+        )
+    return BettiProvider(tables)
+
+
+def spec_id(spec):
+    return "g%dr%ds%dd%d" % (spec.genus, spec.rank, spec.num_points, spec.degree)
+
+
+IDS = ["%02d-%s" % (k, spec_id(spec)) for k, spec in enumerate(SPECS)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_shift_histogram_equals_representative_tally_and_sector(spec):
+    provider = sector_provider(spec)
+    for m in divisors(spec.rank)[1:]:
+        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+        histogram = shift_histogram(spec, eta)
+        tally = Counter(
+            degree_shift(spec, eta, rep).value
+            for rep in compute_orbit_section(spec, m).representatives
+        )
+        assert histogram == tally
+        assert list(histogram) == sorted(histogram)
+        sector = twisted_sector(spec, eta, provider)
+        assert histogram == Counter(shift.value for _, shift, _ in sector.per_orbit)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_shift_is_invariant_under_rotation(spec):
+    rng = random.Random(spec_id(spec))
+    for m in divisors(spec.rank)[1:]:
+        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+        partitions = list(enumerate_partitions(spec, m))
+        for t in rng.sample(partitions, min(40, len(partitions))):
+            shift = degree_shift(spec, eta, t)
+            for i in range(1, m):
+                assert degree_shift(spec, eta, galois_rotate(t, i)) == shift
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_dominance_pairing_on_every_partition(spec):
+    # C(i) + C(m-i) = s*m*l^2: each pair across blocks i apart counts once
+    s = spec.num_points
+    for m in divisors(spec.rank)[1:]:
+        l = spec.rank // m
+        for t in enumerate_partitions(spec, m):
+            for i in range(1, m):
+                assert dominance_count(t, i) + dominance_count(t, m - i) == s * m * l * l

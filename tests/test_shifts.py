@@ -349,3 +349,14 @@ def test_shift_histogram_counts_every_partition_once_per_orbit(g, r, s):
         histogram = shift_histogram(spec, eta)
         assert {shift: m * count for shift, count in histogram.items()} == every
         assert list(histogram) == sorted(histogram)
+
+
+@pytest.mark.parametrize("tied_at", [0, 1])
+def test_shift_histogram_refuses_tied_weights(tied_at):
+    tied = (0, Fraction(1, 7), Fraction(1, 3), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
+    weights = [twelfths(1, 2, 3, 5, 7, 11)]
+    weights.insert(tied_at, tied)
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=tuple(weights))
+    for m in divisors(6)[1:]:
+        with pytest.raises(ValueError, match="weights within a point must be distinct"):
+            shift_histogram(spec, canonical_element_of_order(6, 2, m))
