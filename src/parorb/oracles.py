@@ -6,12 +6,15 @@ something:
 
 - the order census walks every element and ANDs per-coordinate killer
   masks, built by trial (bit k-1 of value e's mask is set iff k*e = 0 mod
-  r), instead of taking gcds or inverting over divisors;
+  r), instead of taking gcds or inverting over divisors; the masks of each
+  half of g coordinates are ANDed once, and every element is one pair of
+  halves;
 - partitions come from de-duplicated permutations instead of recursive
-  combinations, and rotate by list slicing instead of index tables;
+  combinations, and rotate by list slicing instead of index tables; each
+  point's partition is rotated once, not once per combination it joins;
 - the two per-partition identities, dominance pairing and dimension
   bookkeeping, share one enumerate_partitions stream but check separate
-  formulas.
+  formulas; each C_t(i) is asked for once per partition.
 
 They back the test suite and the CLI's --oracle mode; guardrails keep them
 at desk scale.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial, reduce
-from itertools import permutations, product
+from itertools import permutations, product, starmap
 from operator import and_
 
 from .errors import GuardrailExceeded
@@ -39,9 +42,11 @@ def brute_force_order_census(r: int, g: int) -> dict[int, int]:
 
     Each coordinate value e gets a killer mask, found by trial: bit k-1 is
     set iff k*e vanishes mod r, for k = 1..r.  An element's killers are the
-    AND of its 2g masks, and its order is the lowest of them, so the walk
-    tallies elements by mask and reads one order per distinct mask; no gcd
-    shortcut, no Möbius inversion.
+    AND of its 2g masks, and its order is the lowest of them.  The AND of
+    each of the r^g half-vectors of g coordinates is taken once, and every
+    element, a pair of halves, is one more AND; the walk tallies elements by
+    mask and reads one order per distinct mask; no gcd shortcut, no Möbius
+    inversion.
 
     >>> brute_force_order_census(2, 1) == {1: 1, 2: 3}
     True
@@ -51,7 +56,8 @@ def brute_force_order_census(r: int, g: int) -> dict[int, int]:
         sum(1 << (k - 1) for k in range(1, r + 1) if (k * e) % r == 0)
         for e in range(r)
     ]
-    by_mask = Counter(map(partial(reduce, and_), product(killers, repeat=2 * g)))
+    halves = list(map(partial(reduce, and_), product(killers, repeat=g)))
+    by_mask = Counter(starmap(and_, product(halves, repeat=2)))
     census: dict[int, int] = {}
     for mask, count in by_mask.items():
         order = (mask & -mask).bit_length()
@@ -82,7 +88,10 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
 
     Returns {"count", "orbit_count", "orbits_all_size_m"}; rotation is done
     by list slicing (blocks[i:] + blocks[:i] applied at every point), an
-    independent expression of the same action.
+    independent expression of the same action.  Each partition of a later
+    point is rotated once, and the list is shared by every combination;
+    point 0's partitions are rotated one at a time as the walk reaches
+    them.  A combination's m rotations are then the zip of its points'.
     """
     _enforce_partition_limit(spec, m)
     # relabel each point's weights by their sorted positions: partitions of
@@ -92,17 +101,22 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     per_point = [
         sorted(brute_force_point_partitions(point, m)) for point in relabeled
     ]
+
+    def rotated(blocks):
+        return tuple(blocks[i:] + blocks[:i] for i in range(m))
+
+    tails = [list(map(rotated, point)) for point in per_point[1:]]
     count = 0
     seen_orbit_min = set()
     orbits_all_size_m = True
-    for combo in product(*per_point):
-        count += 1
-        rotations = {
-            tuple(blocks[i:] + blocks[:i] for blocks in combo) for i in range(m)
-        }
-        if len(rotations) != m:
-            orbits_all_size_m = False
-        seen_orbit_min.add(min(rotations))
+    for head in per_point[0]:
+        head_rotations = rotated(head)
+        for tail in product(*tails):
+            count += 1
+            rotations = set(zip(head_rotations, *tail))
+            if len(rotations) != m:
+                orbits_all_size_m = False
+            seen_orbit_min.add(min(rotations))
     return {
         "count": count,
         "orbit_count": len(seen_orbit_min),
@@ -115,7 +129,8 @@ def check_partition_identities(
 ) -> tuple[dict, dict | None]:
     """Dominance pairing and dimension bookkeeping over one partition stream.
 
-    Pairing: C_t(i) + C_t(m-i) must equal s*m*l^2 for every t and i.
+    Pairing: C_t(i) + C_t(m-i) must equal s*m*l^2 for every t and i; the
+    m-1 counts of t are asked for once each and paired with their reverse.
     Dimension: moduli_dimension must equal fixed dim + codim for every t,
     with eta of order m; pass eta=None when its hypotheses fail, and that
     check is not run.  Each check stops at its first failure, and the
@@ -133,8 +148,9 @@ def check_partition_identities(
         fixed = fixed_component_dimension(spec, eta)
     for t in partitions:
         if pairing is None:
-            for i in range(1, m):
-                if dominance_count(t, i) + dominance_count(t, m - i) != target:
+            counts = [dominance_count(t, i) for i in range(1, m)]
+            for i, (a, b) in enumerate(zip(counts, reversed(counts)), 1):
+                if a + b != target:
                     pairing = {
                         "pass": False, "failing_partition": t.to_mapping(), "i": i
                     }

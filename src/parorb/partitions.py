@@ -139,6 +139,14 @@ class WeightPartition:
         object.__setattr__(self, "_dominance", vector)
         return vector
 
+    @classmethod
+    def _enumerated(cls, per_point: tuple[PointPartition, ...]) -> WeightPartition:
+        """A partition from _partition_product: every point's partitions
+        come from one enumeration at one m, so they share a block shape."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "per_point", per_point)
+        return part
+
     def to_mapping(self) -> list:
         """Fresh nested lists of weight strings, safe for the caller to mutate."""
         return [list(map(list, point.formatted_blocks())) for point in self.per_point]
@@ -240,7 +248,7 @@ def _partition_product(
     tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
     for head in _point_partitions(spec.weights[0], m, anchored):
         for tail in product(*tail_lists):
-            yield WeightPartition((head,) + tail)
+            yield WeightPartition._enumerated((head,) + tail)
 
 
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:

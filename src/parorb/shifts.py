@@ -51,10 +51,12 @@ def dominance_count(t: WeightPartition, i: int) -> int:
     >>> dominance_count(t, 1), dominance_count(t, 2)
     (4, 8)
     """
-    m = t.m
-    if not 1 <= i <= m - 1:
-        raise IndexOutOfRange("rotation index %r outside 1..%d" % (i, m - 1))
-    return t.dominance_vector()[i]
+    counts = t.dominance_vector()
+    if not 1 <= i < len(counts):
+        raise IndexOutOfRange(
+            "rotation index %r outside 1..%d" % (i, len(counts) - 1)
+        )
+    return counts[i]
 
 
 def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
@@ -99,6 +101,21 @@ class EigenvalueMultiplicityTable:
         return self.dimension - self.total_codimension
 
 
+def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
+    """mult(1), ..., mult(m-1) of t, after checking t's shape against spec
+    and m; entry i-1 is r^2 (g-1)/m + C_t(i)."""
+    blocks = t.per_point[0].blocks
+    if len(blocks) != m:
+        raise ValueError(
+            "partition has %d blocks per point, element order is %d"
+            % (len(blocks), m)
+        )
+    if len(t.per_point) != spec.num_points or len(blocks[0]) * m != spec.rank:
+        raise ValueError("partition shape does not match the moduli description")
+    base = spec.rank * spec.rank * (spec.genus - 1) // m
+    return [base + c for c in t.dominance_vector()[1:]]
+
+
 def _table_and_shift(
     spec: ModuliSpec, m: int, t: WeightPartition
 ) -> tuple[EigenvalueMultiplicityTable, Fraction]:
@@ -112,15 +129,7 @@ def _table_and_shift(
             return table, value
     except AttributeError:
         pass
-    if t.m != m:
-        raise ValueError(
-            "partition has %d blocks per point, element order is %d" % (t.m, m)
-        )
-    if t.num_points != spec.num_points or t.block_size * t.m != spec.rank:
-        raise ValueError("partition shape does not match the moduli description")
-    base = spec.rank * spec.rank * (spec.genus - 1) // m
-    counts = t.dominance_vector()
-    mults = {i: base + counts[i] for i in range(1, m)}
+    mults = dict(enumerate(_multiplicities(spec, m, t), 1))
     table = EigenvalueMultiplicityTable(
         m=m, multiplicities=mults, dimension=moduli_dimension(spec)
     )
@@ -199,8 +208,11 @@ def total_codimension(
     """Codimension of the fixed component: sum of nontrivial multiplicities.
 
     Complements fixed_component_dimension to the full moduli dimension.
+    Sums the multiplicities eigenvalue_multiplicities tabulates, by the same
+    rule, without building the table, the shift or the moduli dimension;
+    the hypotheses and the partition's shape are checked on every call.
     """
-    return eigenvalue_multiplicities(spec, eta, t).total_codimension
+    return sum(_multiplicities(spec, _require_shift_hypotheses(spec, eta), t))
 
 
 def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int]:

@@ -19,7 +19,11 @@ from parorb.oracles import (
     check_partition_identities,
     enforce_oracle_guardrails,
 )
-from parorb.partitions import count_partitions, enumerate_partitions
+from parorb.partitions import (
+    compute_orbit_section,
+    count_partitions,
+    enumerate_partitions,
+)
 from parorb.torsion import canonical_element_of_order, count_elements_of_order
 
 
@@ -56,8 +60,14 @@ def test_brute_census_matches_closed_form(r, g):
     assert sum(census.values()) == r ** (2 * g)
 
 
-@pytest.mark.parametrize("r, g", [(r, g) for g in (1, 2) for r in range(1, 7)])
+@pytest.mark.parametrize(
+    "r, g",
+    [(r, g) for g in (1, 2) for r in range(1, 7)]
+    + [(r, 3) for r in range(1, 5)]
+    + [(3, 4)],
+)
 def test_brute_census_matches_trial_search(r, g):
+    # g = 3 and 4 put three and four coordinates in each half-vector
     assert brute_force_order_census(r, g) == trial_order_census(r, g)
 
 
@@ -80,6 +90,42 @@ def test_partition_census_structure():
     assert census["count"] == 90
     assert census["orbit_count"] == 30
     assert census["orbits_all_size_m"] is True
+
+
+def reference_partition_census(spec, m):
+    # reference sweep: every combination re-slices each point's blocks for
+    # each of its m rotations
+    per_point = [
+        sorted(brute_force_point_partitions(range(len(point)), m))
+        for point in spec.weights
+    ]
+    count = 0
+    seen_orbit_min = set()
+    orbits_all_size_m = True
+    for combo in product(*per_point):
+        count += 1
+        rotations = {
+            tuple(blocks[i:] + blocks[:i] for blocks in combo) for i in range(m)
+        }
+        if len(rotations) != m:
+            orbits_all_size_m = False
+        seen_orbit_min.add(min(rotations))
+    return {
+        "count": count,
+        "orbit_count": len(seen_orbit_min),
+        "orbits_all_size_m": orbits_all_size_m,
+    }
+
+
+@pytest.mark.parametrize(
+    "r, m, s",
+    [(r, m, s) for r in range(1, 7) for m in divisors(r) for s in (1, 2)],
+)
+def test_partition_census_matches_reference_sweep(r, m, s):
+    spec = spec_for(r, s)
+    census = brute_force_partition_census(spec, m)
+    assert census == reference_partition_census(spec, m)
+    assert census["orbit_count"] == compute_orbit_section(spec, m).orbit_count
 
 
 def test_partition_census_guardrail():

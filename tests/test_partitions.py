@@ -144,6 +144,21 @@ def test_orbit_section_equals_brute_force_orbit_minima(r, m, s):
     assert section.partition_count == count_partitions(r, m, s)
 
 
+def test_streamed_partitions_equal_validated_ones():
+    spec = uneven_spec(4, 2, seed=422)
+    streamed = list(enumerate_partitions(spec, 2))
+    built = [WeightPartition(t.per_point) for t in streamed]
+    assert streamed == built
+    assert [hash(t) for t in streamed] == [hash(t) for t in built]
+    for j, a in enumerate(streamed):
+        for k, b in enumerate(built):
+            assert (a < b) == (j < k) and (b < a) == (k < j)
+    representatives = compute_orbit_section(spec, 2).representatives
+    assert {WeightPartition(rep.per_point) for rep in representatives} == set(
+        representatives
+    )
+
+
 def test_orbit_canonical_equals_brute_force_minimum():
     spec = uneven_spec(6, 2, seed=632)
     for t in enumerate_partitions(spec, 3):

@@ -101,10 +101,10 @@ def test_dominance_with_shared_point_partitions():
 
 
 def test_dominance_rejects_out_of_range_index():
-    with pytest.raises(IndexOutOfRange):
-        dominance_count(EXAMPLE_T, 0)
-    with pytest.raises(IndexOutOfRange):
-        dominance_count(EXAMPLE_T, 3)
+    for i in (0, 3, -1):
+        with pytest.raises(IndexOutOfRange) as raised:
+            dominance_count(EXAMPLE_T, i)
+        assert str(raised.value) == "rotation index %d outside 1..2" % i
 
 
 def test_dominance_pairing_identity_exhaustive_small():
@@ -264,6 +264,8 @@ def test_partition_shape_must_match():
             eigenvalue_multiplicities(good, eta2, EXAMPLE_T)
         with pytest.raises(ValueError):
             degree_shift(good, eta2, EXAMPLE_T)
+        with pytest.raises(ValueError):
+            total_codimension(good, eta2, EXAMPLE_T)
     # a good call leaves a memo on the partition; it must not answer for
     # another order
     t = WeightPartition(
@@ -274,6 +276,8 @@ def test_partition_shape_must_match():
         eigenvalue_multiplicities(good, eta2, t)
     with pytest.raises(ValueError):
         degree_shift(good, eta2, t)
+    with pytest.raises(ValueError):
+        total_codimension(good, eta2, t)
     two_points = ModuliSpec(
         genus=2, rank=6, degree=1, weights=(twelfths(1, 2, 3, 4, 5, 6),) * 2
     )
@@ -283,6 +287,19 @@ def test_partition_shape_must_match():
             degree_shift(two_points, eta3, EXAMPLE_T)
         with pytest.raises(ValueError):
             eigenvalue_multiplicities(two_points, eta3, EXAMPLE_T)
+        with pytest.raises(ValueError):
+            total_codimension(two_points, eta3, EXAMPLE_T)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_total_codimension_sums_the_multiplicity_table(m):
+    eta = canonical_element_of_order(6, 2, m)
+    for t in enumerate_partitions(EXAMPLE_SPEC, m):
+        before = total_codimension(EXAMPLE_SPEC, eta, t)
+        degree_shift(EXAMPLE_SPEC, eta, t)  # leaves a memo on t
+        after = total_codimension(EXAMPLE_SPEC, eta, t)
+        table = eigenvalue_multiplicities(EXAMPLE_SPEC, eta, t)
+        assert before == after == table.total_codimension
 
 
 def test_memo_does_not_keep_streamed_partitions_alive():
