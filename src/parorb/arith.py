@@ -86,5 +86,6 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as the canonical "p/q" string (q always printed)."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return "%d/%d" % (value.numerator, value.denominator)

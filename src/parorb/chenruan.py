@@ -43,7 +43,7 @@ from .shifts import (
 from .torsion import (
     TorsionElement,
     _nontrivial_orders,
-    _require_same_modulus,
+    _require_same_group,
     count_elements_of_order,
     spectral_cover_data,
 )
@@ -577,20 +577,26 @@ def pairing_support(
 ) -> PairingSupport:
     """Can the grade-n sector of eta pair nontrivially against tau?
 
-    Candidate exactly when tau is the inverse of eta (componentwise
-    negation) or both are the identity; everything else is forced to zero.
+    Candidate exactly when tau is the inverse of eta; everything else is
+    forced to zero.  The inverse test is read off the exponent vectors,
+    (a + b) % r == 0 at every position, so the identity pairs with itself.
     A grade outside [0, 2 * moduli_dimension] is also forced zero: one side
-    of the pairing is an empty graded piece.
+    of the pairing is an empty graded piece.  An int or Fraction grade is
+    compared as it is, a "p/q" string is parsed, and a float or bool is a
+    ValueError.  Raises ModulusMismatch when eta and tau lie in different
+    groups (different moduli or different genera).
     """
-    _require_same_modulus(eta, tau)
-    grade = Fraction(_exact(n))
+    _require_same_group(eta, tau)
+    grade = _exact(n)
+    if not isinstance(grade, (int, Fraction)):
+        grade = Fraction(grade)
     if grade < 0 or grade > 2 * moduli_dimension(spec):
         return PairingSupport.FORCED_ZERO
-    if eta.is_identity and tau.is_identity:
-        return PairingSupport.CANDIDATE
-    if tau == eta.inverse():
-        return PairingSupport.CANDIDATE
-    return PairingSupport.FORCED_ZERO
+    r = eta.modulus
+    for a, b in zip(eta.exponents, tau.exponents):
+        if (a + b) % r:
+            return PairingSupport.FORCED_ZERO
+    return PairingSupport.CANDIDATE
 
 
 def product_support(eta1: TorsionElement, eta2: TorsionElement) -> ProductSupport:

@@ -20,9 +20,8 @@ from .partitions import count_partitions
 from .torsion import (
     TorsionElement,
     _require_rank_modulus,
-    _require_same_modulus,
+    _require_same_group,
     cyclic_subgroup_equal,
-    element_order,
 )
 
 
@@ -105,15 +104,19 @@ def intersection_support(
     subgroups.  For a prime modulus that already covers every tau outside
     the subgroup generated by eta, since all non-identity elements then
     share the order p.  Everything else is PossiblyNonempty (no claim is
-    made for unequal orders).  Symmetric in its arguments.  This is the one
-    support rule: chenruan.product_support reads its verdict off this one,
-    since sectors whose fixed loci do not meet have a vanishing product.
+    made for unequal orders).  Symmetric in its arguments.
+
+    Decided on the exponent vectors: the orders are the ones stored on the
+    elements (order 1 is the identity, which is refused), and the subgroup
+    test is cyclic_subgroup_equal's.  Raises ModulusMismatch when eta and
+    tau lie in different groups (different moduli or different genera).
+    This is the one support rule: chenruan.product_support reads its
+    verdict off this one, since sectors whose fixed loci do not meet have a
+    vanishing product.
     """
-    _require_same_modulus(eta, tau)
-    if eta.is_identity or tau.is_identity:
+    _require_same_group(eta, tau)
+    if eta._order == 1 or tau._order == 1:
         raise IdentityElement("intersection test needs non-identity elements")
-    if element_order(eta) == element_order(tau) and not cyclic_subgroup_equal(
-        eta, tau
-    ):
+    if eta._order == tau._order and not cyclic_subgroup_equal(eta, tau):
         return IntersectionSupport.FORCED_EMPTY
     return IntersectionSupport.POSSIBLY_NONEMPTY

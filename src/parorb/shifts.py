@@ -181,7 +181,7 @@ def degree_shift(
     m = _require_shift_hypotheses(spec, eta)
     _, value = _table_and_shift(spec, m, t)
     representative, _ = orbit_canonical(t)
-    return DegreeShift(value=value, eta=eta, orbit_representative=representative)
+    return DegreeShift(value, eta, representative)
 
 
 def fixed_component_dimension(spec: ModuliSpec, eta: TorsionElement) -> int:

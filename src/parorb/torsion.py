@@ -155,10 +155,16 @@ def pushforward_det_twist(m: int, r: int) -> DetTwist:
     return DetTwist(eta_exponent=r // 2)
 
 
-def _require_same_modulus(eta: TorsionElement, tau: TorsionElement) -> None:
-    """Raise ModulusMismatch unless eta and tau live in the same group."""
+def _require_same_group(eta: TorsionElement, tau: TorsionElement) -> None:
+    """Raise ModulusMismatch unless eta and tau live in the same group: equal
+    moduli and exponent vectors of equal length 2g."""
     if eta.modulus != tau.modulus:
         raise ModulusMismatch("moduli differ: %d vs %d" % (eta.modulus, tau.modulus))
+    if len(eta.exponents) != len(tau.exponents):
+        raise ModulusMismatch(
+            "exponent vector lengths differ: 2g = %d vs %d"
+            % (len(eta.exponents), len(tau.exponents))
+        )
 
 
 def _require_rank_modulus(eta: TorsionElement, rank: int) -> int:
@@ -178,14 +184,31 @@ def cyclic_subgroup_elements(eta: TorsionElement) -> list[TorsionElement]:
 def cyclic_subgroup_equal(eta: TorsionElement, tau: TorsionElement) -> bool:
     """True iff eta and tau generate the same cyclic subgroup.
 
-    At equal orders tau lying in <eta> already makes the two subgroups
-    equal, so one membership test decides.  Raises ModulusMismatch when the
-    ambient groups differ.
+    Decided on the exponent vectors, without building group elements.  The
+    orders must agree; then tau lying in <eta> already makes the subgroups
+    equal, and a non-identity tau can only be k·eta with 1 <= k < order.
+    Only the k that match tau at eta's first nonzero exponent are tried
+    against the whole vector.  Two identities are equal.  Raises
+    ModulusMismatch when eta and tau lie in different groups (different
+    moduli or different genera).
+
+    >>> cyclic_subgroup_equal(TorsionElement(6, (1, 2)), TorsionElement(6, (5, 4)))
+    True
+    >>> cyclic_subgroup_equal(TorsionElement(6, (1, 2)), TorsionElement(6, (1, 4)))
+    False
     """
-    _require_same_modulus(eta, tau)
-    if element_order(eta) != element_order(tau):
+    _require_same_group(eta, tau)
+    m = eta._order
+    if m != tau._order:
         return False
-    return tau in cyclic_subgroup_elements(eta)
+    if m == 1:
+        return True
+    r, xs, ys = eta.modulus, eta.exponents, tau.exponents
+    x, y = next((a, b) for a, b in zip(xs, ys) if a)
+    for k in range(1, m):
+        if k * x % r == y and tuple([k * e % r for e in xs]) == ys:
+            return True
+    return False
 
 
 def canonical_element_of_order(r: int, g: int, m: int) -> TorsionElement:

@@ -405,6 +405,9 @@ def test_orbifold_euler_missing_table_raises_but_certificate_stands():
 
 # --- pairing / product rules ------------------------------------------------
 
+DIM7 = ModuliSpec(genus=3, rank=2, degree=1, weights=W2)  # dimension 7
+
+
 def test_pairing_candidate_on_inverse_pairs():
     eta = TorsionElement(6, (1, 2, 3, 4))
     spec = ModuliSpec(genus=2, rank=6, degree=1,
@@ -424,25 +427,32 @@ def test_pairing_self_inverse_elements_are_candidates():
 
 
 def test_pairing_grade_window():
-    spec = ModuliSpec(genus=3, rank=2, degree=1, weights=W2)  # dimension 7
+    # each grade as an int (when integral), a Fraction and a "p/q" string
     eta = TorsionElement(2, (1, 0, 0, 0, 0, 0))
     tau = eta.inverse()
-    assert pairing_support(0, eta, tau, spec) is PairingSupport.CANDIDATE
-    assert pairing_support(14, eta, tau, spec) is PairingSupport.CANDIDATE
-    assert pairing_support(Fraction(29, 2), eta, tau, spec) is PairingSupport.FORCED_ZERO
-    assert pairing_support(15, eta, tau, spec) is PairingSupport.FORCED_ZERO
-    assert pairing_support(-1, eta, tau, spec) is PairingSupport.FORCED_ZERO
+    for grade, verdict in [
+        (Fraction(-1), PairingSupport.FORCED_ZERO),
+        (Fraction(0), PairingSupport.CANDIDATE),
+        (Fraction(14), PairingSupport.CANDIDATE),  # 2 * dimension
+        (Fraction(29, 2), PairingSupport.FORCED_ZERO),
+        (Fraction(15), PairingSupport.FORCED_ZERO),
+    ]:
+        forms = [grade, "%d/%d" % (grade.numerator, grade.denominator)]
+        if grade.denominator == 1:
+            forms.append(int(grade))
+        for form in forms:
+            assert pairing_support(form, eta, tau, DIM7) is verdict, form
+            assert pairing_support(form, eta, eta.scale(0), DIM7) is PairingSupport.FORCED_ZERO
 
 
 def test_pairing_rejects_floats_and_mixed_moduli():
-    spec = ModuliSpec(genus=3, rank=2, degree=1, weights=W2)
     eta = TorsionElement(2, (1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        pairing_support(1.5, eta, eta, spec)
-    with pytest.raises(ValueError):
-        pairing_support(True, eta, eta, spec)
+    for grade, kind in [(1.5, "float"), (1.0, "float"), (True, "bool")]:
+        with pytest.raises(ValueError) as info:
+            pairing_support(grade, eta, eta, DIM7)
+        assert str(info.value) == "grades must be exact rationals, not %ss" % kind
     with pytest.raises(ModulusMismatch):
-        pairing_support(1, eta, TorsionElement(3, (1, 0, 0, 0, 0, 0)), spec)
+        pairing_support(1, eta, TorsionElement(3, (1, 0, 0, 0, 0, 0)), DIM7)
 
 
 def test_product_equal_order_distinct_subgroups_vanishes():
@@ -483,6 +493,30 @@ def test_modulus_mismatch_message_is_shared():
         with pytest.raises(ModulusMismatch) as info:
             call()
         assert str(info.value) == "moduli differ: 6 vs 4"
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda eta, tau: cyclic_subgroup_equal(eta, tau),
+        lambda eta, tau: intersection_support(eta, tau),
+        lambda eta, tau: product_support(eta, tau),
+        lambda eta, tau: pairing_support(0, eta, tau, DIM7),
+    ],
+    ids=["cyclic_subgroup_equal", "intersection_support", "product_support",
+         "pairing_support"],
+)
+def test_elements_of_different_genus_are_refused(rule):
+    short, long = TorsionElement(3, (1, 0)), TorsionElement(3, (1, 0, 0, 0))
+    for eta, tau in ((short, long), (long, short)):
+        with pytest.raises(ModulusMismatch) as info:
+            rule(eta, tau)
+        assert str(info.value) == "exponent vector lengths differ: 2g = %d vs %d" % (
+            len(eta.exponents), len(tau.exponents))
+    # a different modulus is named first
+    with pytest.raises(ModulusMismatch) as info:
+        rule(short, TorsionElement(2, (1, 0, 0, 0)))
+    assert str(info.value) == "moduli differ: 3 vs 2"
 
 
 # --- strict Betti files -----------------------------------------------------

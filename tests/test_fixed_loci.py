@@ -1,11 +1,17 @@
 """Fixed-locus component reports and the intersection support rule."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from parorb.chenruan import ProductSupport, product_support
+from parorb.chenruan import (
+    PairingSupport,
+    ProductSupport,
+    pairing_support,
+    product_support,
+)
 from parorb.errors import IdentityElement, ModulusMismatch
 from parorb.fixed_loci import (
     IntersectionSupport,
@@ -20,7 +26,12 @@ from parorb.shifts import (
     fixed_component_dimension,
     shift_histogram,
 )
-from parorb.torsion import TorsionElement, canonical_element_of_order
+from parorb.torsion import (
+    TorsionElement,
+    canonical_element_of_order,
+    cyclic_subgroup_elements,
+    element_order,
+)
 
 FORCED = IntersectionSupport.FORCED_EMPTY
 MAYBE = IntersectionSupport.POSSIBLY_NONEMPTY
@@ -158,3 +169,50 @@ def test_intersection_rejects_identity_and_mixed_moduli():
         intersection_support(eta, TorsionElement(4, (0, 0, 0, 0)))
     with pytest.raises(ModulusMismatch):
         intersection_support(eta, TorsionElement(2, (1, 0, 0, 0)))
+
+
+# every ordered pair of (Z/r)^2 for r <= 12 and of (Z/r)^4 for r <= 4
+EXHAUSTIVE_GROUPS = [(r, 2) for r in range(1, 13)] + [(r, 4) for r in range(1, 5)]
+PAIRING_SPEC = spec_for(2, 1)  # grade 0 lies in its window
+
+
+def assert_support_rules_match_oracle(eta, subgroup, inverse, tau):
+    """The three support rules against group elements built the slow way:
+    `subgroup` is the set of listed multiples of eta, `inverse` is
+    eta.inverse()."""
+    pairing = pairing_support(0, eta, tau, PAIRING_SPEC)
+    assert (pairing is PairingSupport.CANDIDATE) == (tau == inverse), (eta, tau)
+    if eta.is_identity or tau.is_identity:
+        with pytest.raises(IdentityElement):
+            intersection_support(eta, tau)
+        return
+    forced = element_order(eta) == element_order(tau) and tau not in subgroup
+    assert intersection_support(eta, tau) is (FORCED if forced else MAYBE), (eta, tau)
+    product = product_support(eta, tau)
+    assert product is (ProductSupport.FORCED_ZERO if forced else ProductSupport.UNKNOWN)
+
+
+@pytest.mark.parametrize("r, length", EXHAUSTIVE_GROUPS)
+def test_support_rules_match_element_oracle(r, length):
+    elements = [TorsionElement(r, e) for e in itertools.product(range(r), repeat=length)]
+    for eta in elements:
+        subgroup, inverse = set(cyclic_subgroup_elements(eta)), eta.inverse()
+        for tau in elements:
+            assert_support_rules_match_oracle(eta, subgroup, inverse, tau)
+
+
+def test_support_rules_match_element_oracle_on_seeded_pairs():
+    # (Z/6)^4 has 1,679,616 ordered pairs; a seeded sample in which tau is a
+    # multiple of eta, the inverse of eta, or drawn freely
+    rng = random.Random(62)
+    for _ in range(4000):
+        eta = TorsionElement(6, tuple(rng.randrange(6) for _ in range(4)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            tau = eta.scale(rng.randrange(6))
+        elif kind == 1:
+            tau = eta.inverse()
+        else:
+            tau = TorsionElement(6, tuple(rng.randrange(6) for _ in range(4)))
+        subgroup = set(cyclic_subgroup_elements(eta))
+        assert_support_rules_match_oracle(eta, subgroup, eta.inverse(), tau)

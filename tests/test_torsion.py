@@ -1,6 +1,7 @@
 """Torsion group elements: orders, census, covers, determinant twists."""
 
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -182,6 +183,40 @@ def test_cyclic_subgroup_equal_detects_shared_generator():
     assert not cyclic_subgroup_equal(a, c)
     with pytest.raises(ModulusMismatch):
         cyclic_subgroup_equal(a, TorsionElement(6, (1, 0, 0, 0)))
+
+
+# every ordered pair of (Z/r)^2 for r <= 12 and of (Z/r)^4 for r <= 4
+EXHAUSTIVE_GROUPS = [(r, 2) for r in range(1, 13)] + [(r, 4) for r in range(1, 5)]
+
+
+def assert_subgroup_rule_matches_oracle(eta, subgroup, tau):
+    """cyclic_subgroup_equal against its oracle: equal orders and tau among
+    the listed multiples of eta (the set `subgroup`)."""
+    expected = element_order(eta) == element_order(tau) and tau in subgroup
+    assert cyclic_subgroup_equal(eta, tau) is expected, (eta, tau)
+
+
+@pytest.mark.parametrize("r, length", EXHAUSTIVE_GROUPS)
+def test_cyclic_subgroup_equal_matches_membership_oracle(r, length):
+    elements = [TorsionElement(r, e) for e in itertools.product(range(r), repeat=length)]
+    for eta in elements:
+        subgroup = set(cyclic_subgroup_elements(eta))
+        for tau in elements:
+            assert_subgroup_rule_matches_oracle(eta, subgroup, tau)
+
+
+def test_cyclic_subgroup_equal_matches_oracle_on_seeded_pairs():
+    # (Z/6)^4 has 1,679,616 ordered pairs; a seeded sample, with tau drawn
+    # from <eta> half the time so that both verdicts occur
+    rng = random.Random(6)
+    for _ in range(4000):
+        eta = TorsionElement(6, tuple(rng.randrange(6) for _ in range(4)))
+        subgroup = set(cyclic_subgroup_elements(eta))
+        if rng.random() < 0.5:
+            tau = eta.scale(rng.randrange(6))
+        else:
+            tau = TorsionElement(6, tuple(rng.randrange(6) for _ in range(4)))
+        assert_subgroup_rule_matches_oracle(eta, subgroup, tau)
 
 
 def test_canonical_element_has_requested_order():
