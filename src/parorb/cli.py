@@ -4,9 +4,9 @@
 
 Every number in a report names the operation that produced it, reports are
 byte-identical across runs on identical inputs (json mode), and large
-enumerations are refused outright rather than truncated.  Exit codes:
-0 success, 1 internal/oracle failure, 2 parse error, 3 capability missing,
-4 table missing, 5 guardrail exceeded.
+enumerations are refused before any section runs rather than truncated.
+Exit codes: 0 success, 1 internal/oracle failure, 2 parse error, 3 capability
+missing, 4 table missing, 5 guardrail exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -38,12 +39,12 @@ from .errors import (
 from .fixed_loci import fixed_locus_components, intersection_support
 from .model import ModuliSpec, load_spec, moduli_dimension, spec_to_mapping
 from .oracles import (
+    _enforce_census_guardrail,
+    _enforce_partition_limit,
+    _enforce_point_partition_limit,
     brute_force_order_census,
     brute_force_partition_census,
     check_partition_identities,
-    enforce_histogram_guardrail,
-    enforce_oracle_guardrails,
-    enforce_partition_guardrail,
 )
 from .partitions import compute_orbit_section, count_partitions, enumerate_partitions
 from .shifts import _require_shift_hypotheses, _table_and_shift
@@ -69,6 +70,9 @@ class RunConfig:
                 "unknown output(s) %s; valid: %s"
                 % (", ".join(unknown), ", ".join(ALL_OUTPUTS))
             )
+        repeated = [name for name, n in Counter(self.outputs).items() if n > 1]
+        if repeated:
+            raise ParseError("repeated output(s) %s" % ", ".join(repeated))
         if self.format not in ("json", "table"):
             raise ParseError("format must be json or table")
 
@@ -109,7 +113,6 @@ def _components_section(spec: ModuliSpec) -> dict:
 
 
 def _shifts_section(spec: ModuliSpec) -> dict:
-    enforce_partition_guardrail(spec)
     rows = []
     for m, eta in _nontrivial_orders(spec.rank, spec.genus):
         # table and shift depend on eta only through m: check once per order
@@ -147,7 +150,6 @@ def _untwisted(spec: ModuliSpec, provider: BettiProvider) -> tuple:
 
 
 def _cr_table_section(spec: ModuliSpec, provider: BettiProvider) -> dict:
-    enforce_histogram_guardrail(spec)
     untwisted, flag = _untwisted(spec, provider)
     table = chen_ruan_table(spec, provider, untwisted)
     return {
@@ -206,7 +208,6 @@ def _product_rules_section(spec: ModuliSpec) -> dict:
 
 
 def _oracle_section(spec: ModuliSpec) -> dict:
-    enforce_oracle_guardrails(spec)
     r, g = spec.rank, spec.genus
     checks = []
 
@@ -261,41 +262,58 @@ def _oracle_section(spec: ModuliSpec) -> dict:
     return {"op": "oracle_crosschecks", "all_pass": all_pass, "checks": checks}
 
 
-# each section name and the function that makes it, in --emit's order
+def _partition_product_guard(spec: ModuliSpec) -> None:
+    _enforce_partition_limit(spec, spec.rank)  # the largest family, at m = r
+
+
+def _census_guard(spec: ModuliSpec) -> None:
+    _enforce_census_guardrail(spec.rank, spec.genus)
+
+
+# each section name, the function that makes it and the guard that bounds
+# it (None: unguarded), in --emit's order
 _SECTIONS = {
-    "census": lambda spec, provider: _census_section(spec),
-    "components": lambda spec, provider: _components_section(spec),
-    "shifts": lambda spec, provider: _shifts_section(spec),
-    "cr_table": _cr_table_section,
-    "euler": _euler_section,
-    "product_rules": lambda spec, provider: _product_rules_section(spec),
+    "census": (lambda spec, provider: _census_section(spec), None),
+    "components": (lambda spec, provider: _components_section(spec), None),
+    "shifts": (lambda spec, provider: _shifts_section(spec), _partition_product_guard),
+    "cr_table": (_cr_table_section, _enforce_point_partition_limit),
+    "euler": (_euler_section, None),
+    "product_rules": (lambda spec, provider: _product_rules_section(spec), None),
 }
 ALL_OUTPUTS = tuple(_SECTIONS)
+_ORACLE_GUARDS = (_census_guard, _partition_product_guard)
+
+
+def _check_guards(spec: ModuliSpec, outputs: tuple, oracle_mode: bool) -> None:
+    """Raise the first guardrail the run would exceed: the guards of the
+    requested sections in --emit order, then oracle mode's."""
+    guards = [_SECTIONS[name][1] for name in outputs]
+    if oracle_mode:
+        guards.extend(_ORACLE_GUARDS)
+    for guard in guards:
+        if guard is not None:
+            guard(spec)
 
 
 def run(config: RunConfig) -> tuple[dict, int]:
-    """Build the full report; returns (document, exit status)."""
+    """Build the full report, every guard checked before the first section
+    runs; returns (document, exit status)."""
     spec = load_spec(config.spec_path)
-    tables = []
-    for path in config.provider_paths:
-        tables.extend(load_betti_tables(path))
-    provider = BettiProvider(tables)
-
-    report: dict = {
+    provider = BettiProvider(
+        [table for path in config.provider_paths for table in load_betti_tables(path)]
+    )
+    _check_guards(spec, config.outputs, config.oracle_mode)
+    report = {
         "spec": spec_to_mapping(spec),
         "moduli_dimension": moduli_dimension(spec),
-        "outputs": {},
+        "outputs": {
+            name: _SECTIONS[name][0](spec, provider) for name in config.outputs
+        },
     }
-    for name in config.outputs:
-        report["outputs"][name] = _SECTIONS[name](spec, provider)
-
-    status = 0
-    if config.oracle_mode:
-        oracle = _oracle_section(spec)
-        report["oracle"] = oracle
-        if not oracle["all_pass"]:
-            status = 1
-    return report, status
+    if not config.oracle_mode:
+        return report, 0
+    report["oracle"] = _oracle_section(spec)
+    return report, 0 if report["oracle"]["all_pass"] else 1
 
 
 # === rendering ==============================================================

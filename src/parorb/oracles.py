@@ -16,8 +16,9 @@ something:
   bookkeeping, share one enumerate_partitions stream but check separate
   formulas; each C_t(i) is asked for once per partition.
 
-They back the test suite and the CLI's --oracle mode; guardrails keep them
-at desk scale.
+They back the test suite and the CLI's --oracle mode.  Every limit lives
+here with its rule; the oracles keep themselves at desk scale with them, and
+the CLI reads them to check a whole run before any section starts.
 """
 
 from __future__ import annotations
@@ -35,6 +36,36 @@ from .torsion import TorsionElement
 
 CENSUS_LIMIT = 10 ** 7
 PARTITION_LIMIT = 10 ** 6
+
+
+def _enforce_census_guardrail(r: int, g: int) -> None:
+    """Refuse a census of more than CENSUS_LIMIT elements."""
+    size = r ** (2 * g)
+    if size > CENSUS_LIMIT:
+        raise GuardrailExceeded(
+            "r^(2g) = %d exceeds the census guardrail %d" % (size, CENSUS_LIMIT)
+        )
+
+
+def _enforce_partition_limit(spec: ModuliSpec, m: int) -> None:
+    """Refuse a family of more than PARTITION_LIMIT weight partitions."""
+    count = count_partitions(spec.rank, m, spec.num_points)
+    if count > PARTITION_LIMIT:
+        raise GuardrailExceeded(
+            "|P(alpha)| = %d at m = %d exceeds the partition guardrail %d"
+            % (count, m, PARTITION_LIMIT)
+        )
+
+
+def _enforce_point_partition_limit(spec: ModuliSpec) -> None:
+    """Refuse a spec whose shift histograms walk too many point partitions:
+    each point's count_partitions(r, r, 1) on its own, never their product."""
+    worst = spec.num_points * count_partitions(spec.rank, spec.rank, 1)
+    if worst > PARTITION_LIMIT:
+        raise GuardrailExceeded(
+            "%d point partitions at m = %d exceed the partition guardrail %d"
+            % (worst, spec.rank, PARTITION_LIMIT)
+        )
 
 
 def brute_force_order_census(r: int, g: int) -> dict[int, int]:
@@ -169,54 +200,3 @@ def check_partition_identities(
     if dimension_open:
         dimension = {"pass": True, "checked": dims_checked, "moduli_dimension": dim}
     return pairing, dimension
-
-
-def enforce_oracle_guardrails(spec: ModuliSpec) -> None:
-    """Hard limits for oracle mode: census and partition enumerations."""
-    _enforce_census_guardrail(spec.rank, spec.genus)
-    enforce_partition_guardrail(spec)
-
-
-def _enforce_census_guardrail(r: int, g: int) -> None:
-    """Refuse a census of more than CENSUS_LIMIT elements.
-
-    Shared by brute_force_order_census and oracle mode.
-    """
-    size = r ** (2 * g)
-    if size > CENSUS_LIMIT:
-        raise GuardrailExceeded(
-            "r^(2g) = %d exceeds the census guardrail %d" % (size, CENSUS_LIMIT)
-        )
-
-
-def enforce_partition_guardrail(spec: ModuliSpec) -> None:
-    """Refuse a spec whose largest partition family, at m = r, is too big.
-
-    Shared by oracle mode and the CLI's shifts section.
-    """
-    _enforce_partition_limit(spec, spec.rank)
-
-
-def _enforce_partition_limit(spec: ModuliSpec, m: int) -> None:
-    """Refuse a family of more than PARTITION_LIMIT weight partitions."""
-    count = count_partitions(spec.rank, m, spec.num_points)
-    if count > PARTITION_LIMIT:
-        raise GuardrailExceeded(
-            "|P(alpha)| = %d at m = %d exceeds the partition guardrail %d"
-            % (count, m, PARTITION_LIMIT)
-        )
-
-
-def enforce_histogram_guardrail(spec: ModuliSpec) -> None:
-    """Refuse a spec whose shift histograms enumerate too many point partitions.
-
-    shift_histogram walks each point's partitions on its own, at most
-    count_partitions(r, r, 1) of them at m = r, never their product.  Used by
-    the CLI's cr_table section.
-    """
-    worst = spec.num_points * count_partitions(spec.rank, spec.rank, 1)
-    if worst > PARTITION_LIMIT:
-        raise GuardrailExceeded(
-            "%d point partitions at m = %d exceed the partition guardrail %d"
-            % (worst, spec.rank, PARTITION_LIMIT)
-        )

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from parorb import cli
 from parorb.arith import divisors, format_rational
 from parorb.chenruan import chen_ruan_table
 from parorb.cli import RunConfig, render_json, run
+from parorb.errors import ParseError
 from parorb.model import load_spec
 from parorb.partitions import compute_orbit_section
 from parorb.shifts import degree_shift, eigenvalue_multiplicities
@@ -197,6 +199,21 @@ def test_unknown_emit_exits_2(spec_g2r3):
     assert json.loads(result.stderr)["error"]["type"] == "ParseError"
 
 
+def test_repeated_emit_exits_2(spec_g2r3, capsys):
+    status = cli.main(
+        ["--spec", spec_g2r3, "--emit", "components,census,components,census"]
+    )
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "repeated output(s) components, census"
+    with pytest.raises(ParseError) as refused:
+        RunConfig(spec_path=spec_g2r3, outputs=("shifts", "euler", "shifts"))
+    assert str(refused.value) == "repeated output(s) shifts"
+
+
 def test_capability_missing_exits_3(tmp_path):
     doc = dict(SPEC_G2R3, degree=3)  # gcd(rank, degree) = 3
     result = run_cli(
@@ -325,6 +342,75 @@ def test_cr_table_guardrail_exits_5_at_rank_ten(tmp_path):
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "GuardrailExceeded"
     assert "3628800 point partitions at m = 10" in error["message"]
+
+
+CENSUS_REFUSAL = "r^(2g) = 60466176 exceeds the census guardrail 10000000"
+PRODUCT_REFUSAL = "|P(alpha)| = 3628800 at m = 10 exceeds the partition guardrail 1000000"
+POINT_REFUSAL = "3628800 point partitions at m = 10 exceed the partition guardrail 1000000"
+
+
+def g5r6s2(tmp_path, degree=1):
+    # 518,400 partitions at m = 6 pass the shifts guard; 6^10 fails the census
+    doc = {
+        "genus": 5,
+        "rank": 6,
+        "degree": degree,
+        "weights": [[f"{i}/7" for i in range(1, 7)], [f"{i}/8" for i in range(1, 7)]],
+    }
+    return write_json(tmp_path / "g5r6s2.json", doc)
+
+
+def refusal(capsys, argv):
+    status = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "GuardrailExceeded"
+    return status, error["message"]
+
+
+def test_failing_guard_runs_no_section(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a section ran before the guards were checked")
+
+    for name in (
+        "_census_section", "_components_section", "_shifts_section",
+        "_product_rules_section", "_oracle_section", "compute_orbit_section",
+    ):
+        monkeypatch.setattr(cli, name, forbidden)
+    argv = ["--spec", g5r6s2(tmp_path), "--emit", "shifts", "--oracle"]
+    assert refusal(capsys, argv) == (5, CENSUS_REFUSAL)
+
+
+def test_guardrail_wins_over_a_missing_capability(tmp_path, capsys):
+    # gcd(6, 2) = 2 would make shifts exit 3; the census guard is checked first
+    argv = ["--spec", g5r6s2(tmp_path, degree=2), "--emit", "shifts", "--oracle"]
+    assert refusal(capsys, argv) == (5, CENSUS_REFUSAL)
+
+
+@pytest.mark.parametrize(
+    "genus, emit, message",
+    [
+        (2, ["--emit", "cr_table,shifts"], POINT_REFUSAL),
+        (2, ["--emit", "shifts,cr_table"], PRODUCT_REFUSAL),
+        (2, ["--emit", "euler", "--oracle"], PRODUCT_REFUSAL),
+        # 10^8 elements: oracle mode checks the census before the partitions
+        (4, ["--emit", "euler", "--oracle"],
+         "r^(2g) = 100000000 exceeds the census guardrail 10000000"),
+        (4, ["--emit", "shifts", "--oracle"], PRODUCT_REFUSAL),
+    ],
+)
+def test_guards_are_checked_in_emit_order_then_oracle(
+    tmp_path, capsys, genus, emit, message
+):
+    ten = {
+        "genus": genus,
+        "rank": 10,
+        "degree": 1,
+        "weights": [[f"{i}/11" for i in range(1, 11)]],
+    }
+    argv = ["--spec", write_json(tmp_path / "r10.json", ten), *emit]
+    assert refusal(capsys, argv) == (5, message)
 
 
 def test_default_emit_set(spec_g3r2):

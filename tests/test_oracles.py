@@ -17,7 +17,6 @@ from parorb.oracles import (
     brute_force_partition_census,
     brute_force_point_partitions,
     check_partition_identities,
-    enforce_oracle_guardrails,
 )
 from parorb.partitions import (
     compute_orbit_section,
@@ -269,7 +268,7 @@ def test_census_guardrail_is_one_rule():
     with pytest.raises(GuardrailExceeded) as census:
         brute_force_order_census(6, 5)
     with pytest.raises(GuardrailExceeded) as oracle:
-        enforce_oracle_guardrails(spec_for(6, 1, genus=5))
+        cli._check_guards(spec_for(6, 1, genus=5), (), oracle_mode=True)
     assert str(census.value) == str(oracle.value)
     assert str(census.value) == (
         "r^(2g) = %d exceeds the census guardrail %d" % (6 ** 10, CENSUS_LIMIT)
@@ -277,8 +276,8 @@ def test_census_guardrail_is_one_rule():
 
 
 def test_enforce_oracle_guardrails():
-    enforce_oracle_guardrails(spec_for(6, 1))
+    cli._check_guards(spec_for(6, 1), (), oracle_mode=True)
     with pytest.raises(GuardrailExceeded):
-        enforce_oracle_guardrails(spec_for(6, 1, genus=5))
+        cli._check_guards(spec_for(6, 1, genus=5), (), oracle_mode=True)
     with pytest.raises(GuardrailExceeded):
-        enforce_oracle_guardrails(spec_for(6, 3))
+        cli._check_guards(spec_for(6, 3), (), oracle_mode=True)
