@@ -16,9 +16,11 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
-from .arith import divisors, format_rational
+from .arith import divisors
 from .chenruan import (
     BettiProvider,
     chen_ruan_table,
@@ -42,12 +44,18 @@ from .oracles import (
     _enforce_census_guardrail,
     _enforce_partition_limit,
     _enforce_point_partition_limit,
+    _enforce_prym_limit,
     brute_force_order_census,
     brute_force_partition_census,
     check_partition_identities,
 )
-from .partitions import compute_orbit_section, count_partitions, enumerate_partitions
-from .shifts import _require_shift_hypotheses, _table_and_shift
+from .partitions import (
+    _formatted_point_partitions,
+    compute_orbit_section,
+    count_partitions,
+    enumerate_partitions,
+)
+from .shifts import _require_shift_hypotheses
 from .torsion import TorsionElement, _nontrivial_orders, count_elements_of_order
 
 DEFAULT_OUTPUTS = ("census", "components", "euler", "product_rules")
@@ -113,24 +121,43 @@ def _components_section(spec: ModuliSpec) -> dict:
 
 
 def _shifts_section(spec: ModuliSpec) -> dict:
+    """One row per rotation-orbit class, built from per-point data.
+
+    A class picks one partition per point (point 0's anchored), so the rows
+    are the product of each point's (formatted blocks, dominance vector)
+    list, in compute_orbit_section's order.  mult(i) is base + sum_p C_p(i)
+    with base = r^2 (g-1)/m, and the shift sum_i i mult(i)/m has the integer
+    numerator base m(m-1)/2 + sum_i i C(i), printed as format_rational does.
+    """
+    r, g = spec.rank, spec.genus
     rows = []
-    for m, eta in _nontrivial_orders(spec.rank, spec.genus):
+    for m, eta in _nontrivial_orders(r, g):
         # table and shift depend on eta only through m: check once per order
         _require_shift_hypotheses(spec, eta)
-        for rep in compute_orbit_section(spec, m).representatives:
-            table, shift = _table_and_shift(spec, m, rep)
+        base = r * r * (g - 1) // m
+        shift_base = base * (m * (m - 1) // 2)
+        points = [
+            [
+                (formatted, vector[1:], sum(i * c for i, c in enumerate(vector)))
+                for formatted, vector in _formatted_point_partitions(
+                    weights, m, anchored=p == 0
+                )
+            ]
+            for p, weights in enumerate(spec.weights)
+        ]
+        for combo in product(*points):
+            # the formatted tuples are shared by every row using them, so
+            # the writer renders each once
+            formatted, counts, sums = zip(*combo)
+            numerator = shift_base + sum(sums)
+            d = gcd(numerator, m)
             rows.append(
                 {
                     "order": m,
                     "eta": eta.to_mapping(),
-                    # shared per-point tuples: each is rendered once
-                    "orbit_representative": [
-                        point.formatted_blocks() for point in rep.per_point
-                    ],
-                    "shift": format_rational(shift),
-                    "multiplicities": [
-                        table.multiplicities[i] for i in range(1, m)
-                    ],
+                    "orbit_representative": list(formatted),
+                    "shift": "%d/%d" % (numerator // d, m // d),
+                    "multiplicities": [base + sum(c) for c in zip(*counts)],
                 }
             )
     return {"op": "degree_shift", "rows": rows}
@@ -285,9 +312,11 @@ _ORACLE_GUARDS = (_census_guard, _partition_product_guard)
 
 
 def _check_guards(spec: ModuliSpec, outputs: tuple, oracle_mode: bool) -> None:
-    """Raise the first guardrail the run would exceed: the guards of the
-    requested sections in --emit order, then oracle mode's."""
-    guards = [_SECTIONS[name][1] for name in outputs]
+    """Raise the first guardrail the run would exceed: the run-wide genus
+    rule, the guards of the requested sections in --emit order, then oracle
+    mode's."""
+    guards = [_enforce_prym_limit]
+    guards.extend(_SECTIONS[name][1] for name in outputs)
     if oracle_mode:
         guards.extend(_ORACLE_GUARDS)
     for guard in guards:
@@ -322,8 +351,9 @@ def render_json(report: dict) -> str:
     """The bytes of `json.dumps(report, sort_keys=True, indent=2)` plus a
     newline, without the pure-Python encoder that `indent` selects.
 
-    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
-    other value (float and Fraction included) raises TypeError.
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
+    their subclasses; any other value (float and Fraction included) raises
+    TypeError.
 
     >>> print(render_json({"flags": [True, 1], "none": [], "empty": {}}), end="")
     {
@@ -335,64 +365,103 @@ def render_json(report: dict) -> str:
       "none": []
     }
     """
-    return _render(report, "\n", {}) + "\n"
+    return _render(report, "\n", {}, {}) + "\n"
 
 
-def _render(value, newline: str, memo: dict) -> str:
+def _render(value, newline: str, memo: dict, shapes: dict) -> str:
     """One value whose opening line ends in `newline` (its indentation).
 
-    A tuple is taken to be an immutable fragment: it is rendered once per
-    (object, indentation) and memo keeps the text for the rest of the call.
+    The exact types the report holds are dispatched first; a subclass takes
+    the isinstance path below them.  A tuple is taken to be an immutable
+    fragment: it is rendered once per (object, indentation) and memo keeps
+    the text for the rest of the call.  shapes keeps, per tuple of a dict's
+    keys, the sorted (key, encoded "key": head) pairs, also for one call.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        return _render_dict(value, newline, memo, shapes)
+    if kind is list:
+        return _render_items(value, newline, memo, shapes)
+    if kind is tuple:
+        return _render_tuple(value, newline, memo, shapes)
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
+    # subclasses of the types above
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = newline + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError("keys must be str, not %s" % type(key).__name__)
-        return "{%s%s%s}" % (
-            inner,
-            ("," + inner).join(
-                encode_basestring_ascii(key) + ": " + _render(value[key], inner, memo)
-                for key in sorted(value)
-            ),
-            newline,
-        )
+        return _render_dict(value, newline, memo, shapes)
     if isinstance(value, tuple):
-        key = (id(value), len(newline))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _render_items(value, newline, inner, memo)
-        return text
+        return _render_tuple(value, newline, memo, shapes)
     if isinstance(value, list):
-        return _render_items(value, newline, inner, memo)
+        return _render_items(value, newline, memo, shapes)
     raise TypeError(
         "cannot render %s: only dict, list, tuple, str, int, bool and None"
         % type(value).__name__
     )
 
 
-def _render_items(items, newline: str, inner: str, memo: dict) -> str:
+def _render_tuple(value: tuple, newline: str, memo: dict, shapes: dict) -> str:
+    key = (id(value), len(newline))
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _render_items(value, newline, memo, shapes)
+    return text
+
+
+def _render_dict(value: dict, newline: str, memo: dict, shapes: dict) -> str:
+    if not value:
+        return "{}"
+    keys = tuple(value)
+    shape = shapes.get(keys)
+    if shape is None:
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+        shape = shapes[keys] = tuple(
+            (key, encode_basestring_ascii(key) + ": ") for key in sorted(keys)
+        )
+    inner = newline + "  "
+    return "{%s%s%s}" % (
+        inner,
+        ("," + inner).join(
+            [head + _render(value[key], inner, memo, shapes) for key, head in shape]
+        ),
+        newline,
+    )
+
+
+def _render_items(items, newline: str, memo: dict, shapes: dict) -> str:
     if not items:
         return "[]"
+    inner = newline + "  "
     kinds = set(map(type, items))
-    if kinds == {str}:
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
         texts = map(encode_basestring_ascii, items)
-    elif kinds == {int}:
+    elif kind is int:
         texts = map(int.__repr__, items)
+    elif kind is tuple:
+        # shared tuples are mostly rendered already at this indentation
+        get, depth = memo.get, len(inner)
+        texts = [
+            get((id(item), depth)) or _render(item, inner, memo, shapes)
+            for item in items
+        ]
+    elif kind is dict:
+        texts = [_render_dict(item, inner, memo, shapes) for item in items]
     else:
-        texts = (_render(item, inner, memo) for item in items)
+        texts = [_render(item, inner, memo, shapes) for item in items]
     return "[%s%s%s]" % (inner, ("," + inner).join(texts), newline)
 
 

@@ -36,6 +36,19 @@ from .torsion import TorsionElement
 
 CENSUS_LIMIT = 10 ** 7
 PARTITION_LIMIT = 10 ** 6
+PRYM_LIMIT = 1000
+
+
+def _enforce_prym_limit(spec: ModuliSpec) -> None:
+    """Refuse a genus whose longest Prym series, (r-1)(g-1) at m = r, is
+    longer than PRYM_LIMIT; it also keeps r^(2g) near 600 digits or fewer.
+    A rule for the whole run, not for one section."""
+    dimension = (spec.rank - 1) * (spec.genus - 1)
+    if dimension > PRYM_LIMIT:
+        raise GuardrailExceeded(
+            "Prym dimension (r-1)(g-1) = %d exceeds the genus guardrail %d"
+            % (dimension, PRYM_LIMIT)
+        )
 
 
 def _enforce_census_guardrail(r: int, g: int) -> None:

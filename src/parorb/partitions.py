@@ -9,12 +9,13 @@ m; the lexicographically least member of an orbit is its representative.
 Weights within a point are distinct, so every combinatorial quantity depends
 only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen and compared, each partition's dominance vector is
-counted from its ranks, and a point's sorted weights are attached only to
-the blocks of each yielded PointPartition.  The least rotation is always the
-one that puts point 0's smallest weight (rank 0) into block 0, the only
-block starting with it.  compute_orbit_section therefore builds exactly the
-partitions whose first block starts with rank 0, and orbit_canonical only
-has to find which block holds that weight.
+counted from its ranks, and a point's sorted weights (or, for the CLI's
+rows, their strings) are attached only to the blocks of each yielded
+partition.  The least rotation is always the one that puts point 0's
+smallest weight (rank 0) into block 0, the only block starting with it.
+compute_orbit_section therefore builds exactly the partitions whose first
+block starts with rank 0, and orbit_canonical only has to find which block
+holds that weight.
 
 Blocks are kept internally sorted, so comparisons and representatives are
 deterministic: partitions compare by (point index, block index, block
@@ -90,17 +91,6 @@ class PointPartition:
         object.__setattr__(part, "_dominance", dominance)
         return part
 
-    def formatted_blocks(self) -> tuple[tuple[str, ...], ...]:
-        """The blocks with each weight as its exact string, built once per
-        object; the representatives of a section share PointPartitions."""
-        try:
-            return self._formatted  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        formatted = tuple(tuple(map(format_rational, block)) for block in self.blocks)
-        object.__setattr__(self, "_formatted", formatted)
-        return formatted
-
 
 @dataclass(frozen=True, order=True)
 class WeightPartition:
@@ -149,7 +139,10 @@ class WeightPartition:
 
     def to_mapping(self) -> list:
         """Fresh nested lists of weight strings, safe for the caller to mutate."""
-        return [list(map(list, point.formatted_blocks())) for point in self.per_point]
+        return [
+            [list(map(format_rational, block)) for block in point.blocks]
+            for point in self.per_point
+        ]
 
 
 def count_partitions(r: int, m: int, s: int) -> int:
@@ -214,6 +207,35 @@ def _rank_partitions(
     return rec(ranks, heads)
 
 
+def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
+    """One point's weights in rank order; tied weights raise ValueError."""
+    ranked = sorted(weights)
+    if any(a == b for a, b in zip(ranked, ranked[1:])):
+        raise ValueError("weights within a point must be distinct")
+    return ranked
+
+
+def _labelled_partitions(
+    labels: list, m: int, anchored: bool
+) -> Iterator[tuple[tuple[tuple, ...], tuple[int, ...]]]:
+    """(blocks, dominance vector) of each ordered partition of the ranks
+    0..len(labels)-1 into m blocks, ascending, with rank k shown as
+    labels[k] in the blocks and the vector counted from the ranks.
+
+    The one integer-labelled core behind every per-point enumeration; the
+    labels are a point's sorted weights or their strings.
+    """
+    blk = [0] * len(labels)
+    for blocks in _rank_partitions(len(labels), m, anchored):
+        for j, block in enumerate(blocks):
+            for k in block:
+                blk[k] = j
+        yield (
+            tuple(tuple(labels[k] for k in block) for block in blocks),
+            _dominance_counts(blk, m),
+        )
+
+
 def _point_partitions(
     weights: Iterable[Fraction], m: int, anchored: bool = False
 ) -> Iterator[PointPartition]:
@@ -225,18 +247,18 @@ def _point_partitions(
     partitions with the smallest weight in block 0.  Tied weights raise
     ValueError before anything is yielded.
     """
-    ranked = sorted(weights)
-    if any(a == b for a, b in zip(ranked, ranked[1:])):
-        raise ValueError("weights within a point must be distinct")
-    blk = [0] * len(ranked)
-    for blocks in _rank_partitions(len(ranked), m, anchored):
-        for j, block in enumerate(blocks):
-            for k in block:
-                blk[k] = j
-        yield PointPartition._enumerated(
-            tuple(tuple(ranked[k] for k in block) for block in blocks),
-            _dominance_counts(blk, m),
-        )
+    for blocks, vector in _labelled_partitions(_sorted_distinct(weights), m, anchored):
+        yield PointPartition._enumerated(blocks, vector)
+
+
+def _formatted_point_partitions(
+    weights: Iterable[Fraction], m: int, anchored: bool
+) -> list[tuple[tuple[tuple[str, ...], ...], tuple[int, ...]]]:
+    """(formatted blocks, dominance vector) of each of one point's ordered
+    block partitions, in _point_partitions' order: each weight is formatted
+    once, and its string is picked by rank."""
+    texts = list(map(format_rational, _sorted_distinct(weights)))
+    return list(_labelled_partitions(texts, m, anchored))
 
 
 def _partition_product(

@@ -59,20 +59,41 @@ def dominance_count(t: WeightPartition, i: int) -> int:
     return counts[i]
 
 
+def _shift_refusal(spec: ModuliSpec) -> tuple | None:
+    """(error class, message) of the first spec-level shift hypothesis spec
+    fails, or None; kept on the spec object, as capabilities is."""
+    caps = spec.capabilities
+    if not caps.coprime_rank_degree:
+        refusal = (
+            CapabilityMissing,
+            "rank %d and degree %d are not coprime" % (spec.rank, spec.degree),
+        )
+    elif not caps.squarefree_rank:
+        refusal = (CapabilityMissing, "rank %d is not squarefree" % spec.rank)
+    elif spec.higgs:
+        refusal = (
+            ModeMismatch,
+            "multiplicity formulas hold in the non-Higgs mode only",
+        )
+    else:
+        refusal = None
+    object.__setattr__(spec, "_shift_refusal", refusal)
+    return refusal
+
+
 def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
-    """Shared preconditions of the multiplicity/shift/dimension operations.
+    """Shared preconditions of the multiplicity/shift/dimension operations:
+    the spec's verdict (coprime rank and degree, squarefree rank, non-Higgs
+    mode), then eta's modulus and order, checked on every call.
 
     Returns the order m of eta.
     """
-    caps = spec.capabilities
-    if not caps.coprime_rank_degree:
-        raise CapabilityMissing(
-            "rank %d and degree %d are not coprime" % (spec.rank, spec.degree)
-        )
-    if not caps.squarefree_rank:
-        raise CapabilityMissing("rank %d is not squarefree" % spec.rank)
-    if spec.higgs:
-        raise ModeMismatch("multiplicity formulas hold in the non-Higgs mode only")
+    try:
+        refusal = spec._shift_refusal  # type: ignore[attr-defined]
+    except AttributeError:
+        refusal = _shift_refusal(spec)
+    if refusal is not None:
+        raise refusal[0](refusal[1])
     m = _require_rank_modulus(eta, spec.rank)
     if m == 1:
         raise IdentityElement("the identity element has no twisted sector")
@@ -116,17 +137,20 @@ def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
     return [base + c for c in t.dominance_vector()[1:]]
 
 
-def _table_and_shift(
-    spec: ModuliSpec, m: int, t: WeightPartition
-) -> tuple[EigenvalueMultiplicityTable, Fraction]:
-    # both depend on eta only through m, and a sweep asks one partition for
-    # many elements of one order, so they are kept on t with the spec object
-    # and m they were computed for: a hit needs that same spec object and m.
-    # The shape is checked on a miss only, and a raise is never kept.
+def _shift_memo(spec: ModuliSpec, m: int, t: WeightPartition) -> tuple:
+    """(spec, m, multiplicity table, shift value, representative) of t.
+
+    Table and shift depend on eta only through m, and a sweep asks one
+    partition for many elements of one order, so they are kept on t with
+    the spec object and m they were computed for: a hit needs that same
+    spec object and m.  The shape is checked on a miss only, and a raise is
+    never kept.  The representative is orbit_canonical's, None when it is t
+    itself (t holding itself would be a reference cycle).
+    """
     try:
-        memo_spec, memo_m, table, value = t._shift_memo  # type: ignore[attr-defined]
-        if memo_spec is spec and memo_m == m:
-            return table, value
+        memo = t._shift_memo  # type: ignore[attr-defined]
+        if memo[0] is spec and memo[1] == m:
+            return memo
     except AttributeError:
         pass
     mults = dict(enumerate(_multiplicities(spec, m, t), 1))
@@ -134,8 +158,10 @@ def _table_and_shift(
         m=m, multiplicities=mults, dimension=moduli_dimension(spec)
     )
     value = Fraction(sum(i * mult for i, mult in mults.items()), m)
-    object.__setattr__(t, "_shift_memo", (spec, m, table, value))
-    return table, value
+    representative, _ = orbit_canonical(t)
+    memo = (spec, m, table, value, None if representative is t else representative)
+    object.__setattr__(t, "_shift_memo", memo)
+    return memo
 
 
 def eigenvalue_multiplicities(
@@ -148,7 +174,7 @@ def eigenvalue_multiplicities(
     non-Higgs mode.
     """
     m = _require_shift_hypotheses(spec, eta)
-    return _table_and_shift(spec, m, t)[0]
+    return _shift_memo(spec, m, t)[2]
 
 
 @dataclass(frozen=True)
@@ -179,9 +205,17 @@ def degree_shift(
     Fraction(56, 3)
     """
     m = _require_shift_hypotheses(spec, eta)
-    _, value = _table_and_shift(spec, m, t)
-    representative, _ = orbit_canonical(t)
-    return DegreeShift(value, eta, representative)
+    _, _, _, value, representative = _shift_memo(spec, m, t)
+    # the fields set directly, past the frozen dataclass __init__; one by
+    # one, as __init__ does, since filling __dict__ would materialise a full
+    # dict per instance
+    shift = object.__new__(DegreeShift)
+    object.__setattr__(shift, "value", value)
+    object.__setattr__(shift, "eta", eta)
+    object.__setattr__(
+        shift, "orbit_representative", t if representative is None else representative
+    )
+    return shift
 
 
 def fixed_component_dimension(spec: ModuliSpec, eta: TorsionElement) -> int:

@@ -5,6 +5,8 @@ import json
 import random
 import subprocess
 import sys
+import time
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -413,6 +415,49 @@ def test_guards_are_checked_in_emit_order_then_oracle(
     assert refusal(capsys, argv) == (5, message)
 
 
+def genus_spec(tmp_path, genus, rank):
+    doc = {
+        "genus": genus,
+        "rank": rank,
+        "degree": 1,
+        "weights": [[f"{i}/{rank + 1}" for i in range(1, rank + 1)]],
+    }
+    return write_json(tmp_path / "genus.json", doc)
+
+
+@pytest.mark.parametrize("emit", ["census", "euler"])
+def test_genus_guardrail_refuses_genus_3000_at_once(tmp_path, capsys, emit):
+    # r^(2g) alone would have 4,669 digits, and the Prym series 14,995 terms
+    started = time.perf_counter()
+    argv = ["--spec", genus_spec(tmp_path, 3000, 6), "--emit", emit]
+    assert refusal(capsys, argv) == (
+        5, "Prym dimension (r-1)(g-1) = 14995 exceeds the genus guardrail 1000"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+def test_genus_guardrail_is_checked_before_the_section_guards(tmp_path, capsys):
+    # |P(alpha)| = 10! at m = 10 and 10^402 elements fail too
+    argv = ["--spec", genus_spec(tmp_path, 201, 10), "--emit", "shifts", "--oracle"]
+    assert refusal(capsys, argv) == (
+        5, "Prym dimension (r-1)(g-1) = 1800 exceeds the genus guardrail 1000"
+    )
+
+
+@pytest.mark.parametrize("genus, status", [(1001, 0), (1002, 5)])
+def test_genus_guardrail_admits_a_prym_dimension_of_1000(
+    tmp_path, capsys, genus, status
+):
+    argv = ["--spec", genus_spec(tmp_path, genus, 2), "--emit", "census,euler"]
+    assert cli.main(argv) == status
+    captured = capsys.readouterr()
+    if status == 0:
+        census = json.loads(captured.out)["outputs"]["census"]
+        assert census["group_size"] == 2 ** (2 * genus)
+    else:
+        assert captured.out == ""
+
+
 def test_default_emit_set(spec_g3r2):
     report = json.loads(run_cli("--spec", spec_g3r2).stdout)
     assert sorted(report["outputs"]) == [
@@ -563,6 +608,47 @@ def test_rank_five_two_point_oracle_report_matches_golden_digest(tmp_path):
     assert result.returncode == 0
     assert json.loads(result.stdout)["oracle"]["all_pass"] is True
     assert hashlib.sha256(result.stdout).hexdigest() == DEEP_ORACLE_SHA256
+
+
+TWELVE_POINT_SPEC = {
+    "genus": 3,
+    "rank": 2,
+    "degree": 1,
+    "weights": [
+        ["%d/%d" % (k, q), "%d/%d" % (k + 1, q)]
+        for k, q in zip(range(1, 13), (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61))
+    ],
+}
+# sha256 of --emit shifts stdout where the row product is deepest, recorded
+# while each row was built from a WeightPartition of compute_orbit_section:
+# rank 5 over two points (24 x 120 = 2,880 rows at m = 5) and rank 2 over
+# twelve points (2^11 = 2,048 rows at m = 2, integral shifts such as "9/1")
+DEEP_SHIFTS_SHA256 = {
+    "r5s2": "bb1a43c2a3d261249a1c93417d8409e47052a74e1812676886a47a1bfbdd2db8",
+    "r2s12": "9642cb319dc72061886bc848f7866675ee037b2f23a40fded5ef95ac7f3a237a",
+}
+DEEP_SHIFTS_ROWS = {"r5s2": 2880, "r2s12": 2048}
+# the same twelve-point rows, with the census, in --format table
+TWELVE_POINT_TABLE_SHA256 = (
+    "c64ec2099eacf219ad56d3b6c81cfc5dbdf6bcbbd94dec82c0f7d061b2a98daf"
+)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SHIFTS_SHA256))
+def test_deep_shift_rows_match_golden_digest(tmp_path, name):
+    doc = {"r5s2": DEEP_ORACLE_SPEC, "r2s12": TWELVE_POINT_SPEC}[name]
+    result = run_cli("--spec", write_json(tmp_path / "spec.json", doc), "--emit", "shifts")
+    assert result.returncode == 0
+    rows = json.loads(result.stdout)["outputs"]["shifts"]["rows"]
+    assert len(rows) == DEEP_SHIFTS_ROWS[name]
+    assert hashlib.sha256(result.stdout).hexdigest() == DEEP_SHIFTS_SHA256[name]
+
+
+def test_twelve_point_table_report_matches_golden_digest(tmp_path):
+    spec = write_json(tmp_path / "r2s12.json", TWELVE_POINT_SPEC)
+    result = run_cli("--spec", spec, "--format", "table", "--emit", "shifts,census")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == TWELVE_POINT_TABLE_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
@@ -735,5 +821,47 @@ def test_render_json_keeps_the_indent_of_a_shared_tuple():
     "doc", [{"x": 0.5}, {"x": [1, 2.0]}, {"x": Fraction(1, 2)}, {1: "x"}]
 )
 def test_render_json_refuses_what_the_report_never_holds(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
+
+
+class Power(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # one key set at two depths, and in two insertion orders
+        {"b": {"b": 1, "a": [2]}, "a": [{"b": None, "a": ()}, {"a": "x", "b": []}]},
+        [{"order": 2, "eta": {}}, {"eta": {"z": 1}, "order": 3}, {"order": 4}],
+        # int and str subclasses, as values, keys and list items
+        {"p": Power.HIGH, "q": [Power.LOW, 3], Label("r"): Label("s")},
+        [Label("t"), Label("u"), "v"],
+        [{Label("k"): 1}, {"k": Label("w")}],
+        # a bool beside an int, in lists and as values of one key set
+        [True, 1, False, 0],
+        [{"n": 1}, {"n": True}, {"n": False}, {"n": 0}],
+        [(True, 1), (1, True)],
+    ],
+)
+def test_render_json_matches_json_dumps_across_cached_shapes(doc):
+    assert render_json(doc) == reference_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
+        [{"1": 0}, {1: 0}],
+        {"x": {"y": 1}, "z": [{"y": 2}, {True: 3}]},
+    ],
+)
+def test_render_json_refuses_a_non_str_key_after_a_cached_shape(doc):
     with pytest.raises(TypeError):
         render_json(doc)

@@ -3,7 +3,9 @@
 Twenty specs drawn with stdlib random: squarefree rank r <= 7, one or two
 marked points, genus 2 or 3, a degree coprime to r, and unevenly spaced
 weights with assorted denominators.  Shapes whose product of partitions
-would be too long to walk (r >= 6 with two points) get one point.
+would be too long to walk (r >= 6 with two points) get one point.  The
+`shifts` rows are checked on one more seeded spec per squarefree r <= 7
+and s <= 3 that the CLI's partition guardrail admits.
 """
 
 import random
@@ -13,17 +15,33 @@ from math import gcd
 
 import pytest
 
-from parorb.arith import divisors
+from parorb.arith import divisors, format_rational
 from parorb.chenruan import BettiProvider, BettiTable, PoincareSeries, twisted_sector
+from parorb.cli import _shifts_section
 from parorb.model import ModuliSpec
-from parorb.partitions import compute_orbit_section, enumerate_partitions, galois_rotate
-from parorb.shifts import degree_shift, dominance_count, shift_histogram
+from parorb.oracles import PARTITION_LIMIT
+from parorb.partitions import (
+    compute_orbit_section,
+    count_partitions,
+    enumerate_partitions,
+    galois_rotate,
+)
+from parorb.shifts import (
+    degree_shift,
+    dominance_count,
+    eigenvalue_multiplicities,
+    shift_histogram,
+)
 from parorb.torsion import canonical_element_of_order
 
 
 def random_spec(rng):
     r = rng.choice((2, 3, 5, 6, 7))
     s = 1 if r >= 6 else rng.choice((1, 2))
+    return shaped_spec(rng, r, s)
+
+
+def shaped_spec(rng, r, s):
     g = rng.choice((2, 3))
     degree = rng.choice([d for d in range(1, 2 * r) if gcd(d, r) == 1])
     points = []
@@ -98,3 +116,42 @@ def test_dominance_pairing_on_every_partition(spec):
         for t in enumerate_partitions(spec, m):
             for i in range(1, m):
                 assert dominance_count(t, i) + dominance_count(t, m - i) == s * m * l * l
+
+
+_ROW_RNG = random.Random(20221019)
+ROW_SPECS = [
+    shaped_spec(_ROW_RNG, r, s)
+    for r in (2, 3, 5, 6, 7)
+    for s in (1, 2, 3)
+    if count_partitions(r, r, s) <= PARTITION_LIMIT  # the shifts guardrail
+]
+
+
+def library_rows(spec):
+    """The shifts rows rebuilt from the library API: one WeightPartition,
+    multiplicity table and DegreeShift per orbit representative."""
+    for m in divisors(spec.rank)[1:]:
+        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+        for rep in compute_orbit_section(spec, m).representatives:
+            table = eigenvalue_multiplicities(spec, eta, rep)
+            yield {
+                "order": m,
+                "eta": eta.to_mapping(),
+                "orbit_representative": rep.to_mapping(),
+                "shift": format_rational(degree_shift(spec, eta, rep).value),
+                "multiplicities": [table.multiplicities[i] for i in range(1, m)],
+            }
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=[spec_id(spec) for spec in ROW_SPECS])
+def test_shift_rows_equal_the_library_rows(spec):
+    rows = _shifts_section(spec)["rows"]
+    assert len(rows) == sum(
+        count_partitions(spec.rank, m, spec.num_points) // m
+        for m in divisors(spec.rank)[1:]
+    )
+    for row, expected in zip(rows, library_rows(spec)):
+        # the row shares tuples of weight strings; to_mapping makes lists
+        shared = row["orbit_representative"]
+        row = dict(row, orbit_representative=[list(map(list, p)) for p in shared])
+        assert row == expected

@@ -5,6 +5,7 @@ import itertools
 import random
 import weakref
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from parorb.partitions import (
     galois_rotate,
 )
 from parorb.shifts import (
+    DegreeShift,
     degree_shift,
     dominance_count,
     eigenvalue_multiplicities,
@@ -252,6 +254,41 @@ def test_hypotheses_are_enforced():
         shift_histogram(good, TorsionElement(5, (1, 0, 0, 0)))
     with pytest.raises(IdentityElement):
         shift_histogram(good, TorsionElement(6, (0, 0, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "rank, degree, higgs, error, message",
+    [
+        (4, 2, True, CapabilityMissing, "rank 4 and degree 2 are not coprime"),
+        (4, 1, True, CapabilityMissing, "rank 4 is not squarefree"),
+        (6, 1, True, ModeMismatch, "multiplicity formulas hold in the non-Higgs mode only"),
+    ],
+)
+def test_spec_verdict_is_kept_and_raised_on_every_call(
+    rank, degree, higgs, error, message
+):
+    point = tuple(Fraction(i, rank + 1) for i in range(1, rank + 1))
+    spec = ModuliSpec(genus=2, rank=rank, degree=degree, weights=(point,), higgs=higgs)
+    # the spec's verdict comes before eta's modulus, on every call
+    for eta in (TorsionElement(rank, (1, 0, 0, 0)), TorsionElement(5, (1, 0, 0, 0))):
+        for _ in range(2):
+            with pytest.raises(error) as refused:
+                degree_shift(spec, eta, EXAMPLE_T)
+            assert str(refused.value) == message
+
+
+def test_degree_shift_equals_the_dataclass_it_stands_for():
+    rotated = galois_rotate(EXAMPLE_T, 1)
+    expected = DegreeShift(Fraction(56, 3), EXAMPLE_ETA, EXAMPLE_T)
+    for t in (EXAMPLE_T, rotated, rotated):  # canonical, then a memo miss and hit
+        shift = degree_shift(EXAMPLE_SPEC, EXAMPLE_ETA, t)
+        assert type(shift) is DegreeShift
+        assert shift == expected
+        assert hash(shift) == hash(expected)
+        assert repr(shift) == repr(expected)
+        with pytest.raises(FrozenInstanceError):
+            shift.value = Fraction(0)
+    assert degree_shift(EXAMPLE_SPEC, EXAMPLE_ETA, EXAMPLE_T).orbit_representative is EXAMPLE_T
 
 
 def test_partition_shape_must_match():
