@@ -9,9 +9,10 @@ rotation-orbit classes of weight partitions, of
 shifted upward by twice the class's degree shift.  That series is the same
 for every class, so a sector depends on its classes only through how many
 have each shift.  chen_ruan_twisted_part reads those counts off
-shifts.shift_histogram, a convolution of per-point histograms;
-twisted_sector enumerates the orbit representatives one by one and is kept
-as the independent check.  The Prym factor is a complex torus, so every
+shifts.shift_histogram, the s-th convolution power of one tally over the
+partitions of the ranks 0..r-1, so it builds no partition of any point's
+weights; twisted_sector enumerates the orbit representatives one by one
+and is kept as the independent check.  The Prym factor is a complex torus, so every
 twisted sector has Euler characteristic zero and the orbifold Euler
 characteristic equals the plain one — the certificate records that identity
 divisor by divisor.

@@ -16,9 +16,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from .arith import divisors
 from .chenruan import (
@@ -42,6 +40,7 @@ from .fixed_loci import fixed_locus_components, intersection_support
 from .model import ModuliSpec, load_spec, moduli_dimension, spec_to_mapping
 from .oracles import (
     _enforce_census_guardrail,
+    _enforce_digit_limit,
     _enforce_partition_limit,
     _enforce_point_partition_limit,
     _enforce_prym_limit,
@@ -49,13 +48,8 @@ from .oracles import (
     brute_force_partition_census,
     check_partition_identities,
 )
-from .partitions import (
-    _formatted_point_partitions,
-    compute_orbit_section,
-    count_partitions,
-    enumerate_partitions,
-)
-from .shifts import _require_shift_hypotheses
+from .partitions import compute_orbit_section, count_partitions, enumerate_partitions
+from .shifts import _orbit_classes, _require_shift_hypotheses
 from .torsion import TorsionElement, _nontrivial_orders, count_elements_of_order
 
 DEFAULT_OUTPUTS = ("census", "components", "euler", "product_rules")
@@ -121,43 +115,18 @@ def _components_section(spec: ModuliSpec) -> dict:
 
 
 def _shifts_section(spec: ModuliSpec) -> dict:
-    """One row per rotation-orbit class, built from per-point data.
-
-    A class picks one partition per point (point 0's anchored), so the rows
-    are the product of each point's (formatted blocks, dominance vector)
-    list, in compute_orbit_section's order.  mult(i) is base + sum_p C_p(i)
-    with base = r^2 (g-1)/m, and the shift sum_i i mult(i)/m has the integer
-    numerator base m(m-1)/2 + sum_i i C(i), printed as format_rational does.
-    """
-    r, g = spec.rank, spec.genus
+    """One row per rotation-orbit class, from shifts._orbit_classes; the
+    shift is printed as format_rational prints it."""
     rows = []
-    for m, eta in _nontrivial_orders(r, g):
-        # table and shift depend on eta only through m: check once per order
-        _require_shift_hypotheses(spec, eta)
-        base = r * r * (g - 1) // m
-        shift_base = base * (m * (m - 1) // 2)
-        points = [
-            [
-                (formatted, vector[1:], sum(i * c for i, c in enumerate(vector)))
-                for formatted, vector in _formatted_point_partitions(
-                    weights, m, anchored=p == 0
-                )
-            ]
-            for p, weights in enumerate(spec.weights)
-        ]
-        for combo in product(*points):
-            # the formatted tuples are shared by every row using them, so
-            # the writer renders each once
-            formatted, counts, sums = zip(*combo)
-            numerator = shift_base + sum(sums)
-            d = gcd(numerator, m)
+    for m, eta in _nontrivial_orders(spec.rank, spec.genus):
+        for blocks, numerator, denominator, multiplicities in _orbit_classes(spec, eta):
             rows.append(
                 {
                     "order": m,
                     "eta": eta.to_mapping(),
-                    "orbit_representative": list(formatted),
-                    "shift": "%d/%d" % (numerator // d, m // d),
-                    "multiplicities": [base + sum(c) for c in zip(*counts)],
+                    "orbit_representative": list(blocks),
+                    "shift": "%d/%d" % (numerator, denominator),
+                    "multiplicities": multiplicities,
                 }
             )
     return {"op": "degree_shift", "rows": rows}
@@ -301,7 +270,7 @@ def _census_guard(spec: ModuliSpec) -> None:
 # it (None: unguarded), in --emit's order
 _SECTIONS = {
     "census": (lambda spec, provider: _census_section(spec), None),
-    "components": (lambda spec, provider: _components_section(spec), None),
+    "components": (lambda spec, provider: _components_section(spec), _enforce_digit_limit),
     "shifts": (lambda spec, provider: _shifts_section(spec), _partition_product_guard),
     "cr_table": (_cr_table_section, _enforce_point_partition_limit),
     "euler": (_euler_section, None),

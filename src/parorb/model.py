@@ -174,7 +174,8 @@ def _spec_from_mapping(raw: Mapping[str, Any]) -> ModuliSpec:
 
 
 def _read_json(path: str, what: str) -> Any:
-    """Decode a JSON file; an unreadable file or bad JSON is a ParseError."""
+    """Decode a JSON file; an unreadable file, bad JSON or an undecodable
+    value is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -185,6 +186,8 @@ def _read_json(path: str, what: str) -> Any:
             "malformed JSON in %s at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from None
+    except ValueError as exc:  # non-UTF-8 bytes, or an int past str's digit limit
+        raise ParseError("cannot decode %s file %s: %s" % (what, path, exc)) from None
 
 
 def load_spec(path: str) -> ModuliSpec:

@@ -23,6 +23,7 @@ the CLI reads them to check a whole run before any section starts.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import partial, reduce
 from itertools import permutations, product, starmap
@@ -78,6 +79,19 @@ def _enforce_point_partition_limit(spec: ModuliSpec) -> None:
         raise GuardrailExceeded(
             "%d point partitions at m = %d exceed the partition guardrail %d"
             % (worst, spec.rank, PARTITION_LIMIT)
+        )
+
+
+def _enforce_digit_limit(spec: ModuliSpec) -> None:
+    """Refuse a spec whose largest partition count, count_partitions(r, r, s),
+    has more digits than an int may have as a str
+    (sys.get_int_max_str_digits(); 0 is no limit), so that it cannot be
+    printed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count_partitions(spec.rank, spec.rank, spec.num_points) >= 10 ** limit:
+        raise GuardrailExceeded(
+            "count_partitions(r, r, s) at r = %d, s = %d has more than %d digits, "
+            "the int-to-str limit" % (spec.rank, spec.num_points, limit)
         )
 
 

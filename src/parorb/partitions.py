@@ -9,7 +9,7 @@ m; the lexicographically least member of an orbit is its representative.
 Weights within a point are distinct, so every combinatorial quantity depends
 only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen and compared, each partition's dominance vector is
-counted from its ranks, and a point's sorted weights (or, for the CLI's
+counted from its ranks, and a point's sorted weights (or, for the shifts
 rows, their strings) are attached only to the blocks of each yielded
 partition.  The least rotation is always the one that puts point 0's
 smallest weight (rank 0) into block 0, the only block starting with it.
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .arith import _require_divisor, format_rational
 from .errors import IndexOutOfRange
@@ -216,14 +216,14 @@ def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
 
 
 def _labelled_partitions(
-    labels: list, m: int, anchored: bool
+    labels: Sequence, m: int, anchored: bool
 ) -> Iterator[tuple[tuple[tuple, ...], tuple[int, ...]]]:
     """(blocks, dominance vector) of each ordered partition of the ranks
     0..len(labels)-1 into m blocks, ascending, with rank k shown as
     labels[k] in the blocks and the vector counted from the ranks.
 
     The one integer-labelled core behind every per-point enumeration; the
-    labels are a point's sorted weights or their strings.
+    labels are a point's sorted weights, their strings, or the ranks.
     """
     blk = [0] * len(labels)
     for blocks in _rank_partitions(len(labels), m, anchored):
@@ -249,16 +249,6 @@ def _point_partitions(
     """
     for blocks, vector in _labelled_partitions(_sorted_distinct(weights), m, anchored):
         yield PointPartition._enumerated(blocks, vector)
-
-
-def _formatted_point_partitions(
-    weights: Iterable[Fraction], m: int, anchored: bool
-) -> list[tuple[tuple[tuple[str, ...], ...], tuple[int, ...]]]:
-    """(formatted blocks, dominance vector) of each of one point's ordered
-    block partitions, in _point_partitions' order: each weight is formatted
-    once, and its string is picked by rank."""
-    texts = list(map(format_rational, _sorted_distinct(weights)))
-    return list(_labelled_partitions(texts, m, anchored))
 
 
 def _partition_product(

@@ -13,9 +13,9 @@ sum_i (i/m) * mult(i).  The dimension bookkeeping
 
     moduli_dimension = fixed_component_dimension + total_codimension
 
-holds exactly for every partition.  Since sum_i i*C_t(i) adds up one term
-per marked point, shift_histogram counts the orbit classes of each shift
-from per-point histograms without visiting the product of partitions.
+holds exactly for every partition.  The rule is written here once: the
+CLI's shifts rows come from _orbit_classes, and shift_histogram counts the
+classes of each shift from one tally over the partitions of the ranks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
+from typing import Iterator
 
+from .arith import format_rational
 from .errors import (
     CapabilityMissing,
     IdentityElement,
@@ -31,7 +35,8 @@ from .errors import (
     ModeMismatch,
 )
 from .model import ModuliSpec, moduli_dimension
-from .partitions import WeightPartition, _point_partitions, orbit_canonical
+from .partitions import WeightPartition, _labelled_partitions, _sorted_distinct
+from .partitions import orbit_canonical
 from .torsion import TorsionElement, _require_rank_modulus, spectral_cover_data
 
 
@@ -122,6 +127,11 @@ class EigenvalueMultiplicityTable:
         return self.dimension - self.total_codimension
 
 
+def _base_multiplicity(spec: ModuliSpec, m: int) -> int:
+    """r^2 (g-1)/m, the part of every mult(i) that no partition changes."""
+    return spec.rank * spec.rank * (spec.genus - 1) // m
+
+
 def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
     """mult(1), ..., mult(m-1) of t, after checking t's shape against spec
     and m; entry i-1 is r^2 (g-1)/m + C_t(i)."""
@@ -133,7 +143,7 @@ def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
         )
     if len(t.per_point) != spec.num_points or len(blocks[0]) * m != spec.rank:
         raise ValueError("partition shape does not match the moduli description")
-    base = spec.rank * spec.rank * (spec.genus - 1) // m
+    base = _base_multiplicity(spec, m)
     return [base + c for c in t.dominance_vector()[1:]]
 
 
@@ -249,16 +259,40 @@ def total_codimension(
     return sum(_multiplicities(spec, _require_shift_hypotheses(spec, eta), t))
 
 
+def _orbit_classes(spec: ModuliSpec, eta: TorsionElement) -> Iterator[tuple]:
+    """(per-point blocks of weight strings, shift numerator and denominator
+    in lowest terms, multiplicities) of each rotation-orbit class, in
+    compute_orbit_section's order: the product of each point's partitions,
+    point 0's anchored.  Each weight is formatted once, and each point's
+    blocks are one tuple shared by every class using it.
+    """
+    m = _require_shift_hypotheses(spec, eta)
+    base = _base_multiplicity(spec, m)
+    shift_base = base * (m * (m - 1) // 2)
+    points = []
+    for p, weights in enumerate(spec.weights):
+        labels = list(map(format_rational, _sorted_distinct(weights)))
+        points.append([
+            (blocks, vector[1:], sum(i * c for i, c in enumerate(vector)))
+            for blocks, vector in _labelled_partitions(labels, m, anchored=p == 0)
+        ])
+    for combo in product(*points):
+        blocks, counts, sums = zip(*combo)
+        numerator = shift_base + sum(sums)
+        d = gcd(numerator, m)
+        yield blocks, numerator // d, m // d, [base + sum(c) for c in zip(*counts)]
+
+
 def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int]:
     """Number of rotation-orbit classes of weight partitions per degree shift.
 
     A shift is (base*m(m-1)/2 + sum_p S_p)/m with base = r^2(g-1)/m and
-    S_p = sum_i i*C_p(i) read off point p's dominance vector alone, so the
-    counts are the convolution of one integer histogram of S_p per point;
-    Fractions are made only for the final keys.  Point 0 keeps only its
-    partitions with the smallest weight in block 0, as compute_orbit_section
-    does, so the counts sum to the orbit count and the product of partitions
-    is never walked.  Keys ascend.
+    S_p = sum_i i*C_p(i), which depends only on the blocks of point p's
+    ranks and not on a rotation of them.  So with A the tally of S over the
+    partitions of the ranks 0..r-1 with rank 0 in block 0, counted once,
+    the counts are m^(s-1) times the s-fold convolution of A: point 0
+    anchored, every other point m times A.  No point's partitions are
+    built; each point's weights are still checked for ties.  Keys ascend.
 
     >>> from fractions import Fraction as F
     >>> spec = ModuliSpec(genus=2, rank=6, degree=1,
@@ -268,16 +302,19 @@ def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int
     [('52/3', 2), ('53/3', 7), ('18', 12), ('55/3', 7), ('56/3', 2)]
     """
     m = _require_shift_hypotheses(spec, eta)
+    for weights in spec.weights:
+        _sorted_distinct(weights)
+    anchored = Counter(
+        sum(i * c for i, c in enumerate(vector))
+        for _, vector in _labelled_partitions(range(spec.rank), m, anchored=True)
+    )
     totals = {0: 1}
-    for p, point in enumerate(spec.weights):
-        per_point = Counter(
-            sum(i * c for i, c in enumerate(part.dominance_vector()))
-            for part in _point_partitions(point, m, anchored=p == 0)
-        )
+    for _ in spec.weights:
         convolved: dict[int, int] = {}
         for a, count_a in totals.items():
-            for b, count_b in per_point.items():
+            for b, count_b in anchored.items():
                 convolved[a + b] = convolved.get(a + b, 0) + count_a * count_b
         totals = convolved
-    base = spec.rank * spec.rank * (spec.genus - 1) // m * (m * (m - 1) // 2)
-    return {Fraction(base + t, m): count for t, count in sorted(totals.items())}
+    shift_base = _base_multiplicity(spec, m) * (m * (m - 1) // 2)
+    scale = m ** (spec.num_points - 1)
+    return {Fraction(shift_base + t, m): scale * n for t, n in sorted(totals.items())}

@@ -331,7 +331,7 @@ def sector_provider(rng, spec):
 
 HISTOGRAM_SHAPES = [
     (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 5, 1),
-    (2, 5, 2), (2, 6, 1), (2, 6, 2), (2, 7, 1), (3, 6, 1),
+    (2, 5, 2), (2, 6, 1), (2, 6, 2), (2, 7, 1), (3, 6, 1), (2, 3, 4), (3, 2, 5),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -456,6 +457,71 @@ def test_genus_guardrail_admits_a_prym_dimension_of_1000(
         assert census["group_size"] == 2 ** (2 * genus)
     else:
         assert captured.out == ""
+
+
+@pytest.fixture()
+def digit_limit():
+    """The int-to-str digit limit pinned at CPython's default, 4,300."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def rank_1001_spec(tmp_path, points):
+    # (r-1)(g-1) = 1000: the genus rule admits it
+    doc = {
+        "genus": 2,
+        "rank": 1001,
+        "degree": 1,
+        "weights": [[f"{i}/1001" for i in range(1001)]] * points,
+    }
+    return write_json(tmp_path / "r1001.json", doc)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_components_refuses_a_count_past_the_digit_limit(
+    tmp_path, capsys, digit_limit, fmt
+):
+    # count_partitions(1001, 1001, 2) has 5,142 digits
+    argv = ["--spec", rank_1001_spec(tmp_path, 2), "--format", fmt]
+    assert refusal(capsys, argv) == (
+        5,
+        "count_partitions(r, r, s) at r = 1001, s = 2 has more than 4300 "
+        "digits, the int-to-str limit",
+    )
+
+
+def test_components_prints_a_count_within_the_digit_limit(
+    tmp_path, capsys, digit_limit
+):
+    # 1001! has 2,571 digits
+    assert cli.main(["--spec", rank_1001_spec(tmp_path, 1)]) == 0
+    rows = json.loads(capsys.readouterr().out)["outputs"]["components"]["rows"]
+    assert rows[-1]["order"] == 1001
+    assert rows[-1]["partition_count"] == math.factorial(1001)
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--provider"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"genus": ' + b"9" * 4301 + b"}", b'{"genus": "\xff"}'],
+    ids=["int-past-the-digit-limit", "not-utf-8"],
+)
+def test_undecodable_file_exits_2_naming_it(
+    tmp_path, capsys, spec_g2r3, digit_limit, flag, content
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    # a second --spec replaces the first
+    argv = ["--spec", spec_g2r3, flag, str(bad), "--emit", "census"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError"
+    what = "spec" if flag == "--spec" else "Betti table"
+    assert error["message"].startswith("cannot decode %s file %s: " % (what, bad))
 
 
 def test_default_emit_set(spec_g3r2):

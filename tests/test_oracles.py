@@ -281,3 +281,15 @@ def test_enforce_oracle_guardrails():
         cli._check_guards(spec_for(6, 1, genus=5), (), oracle_mode=True)
     with pytest.raises(GuardrailExceeded):
         cli._check_guards(spec_for(6, 3), (), oracle_mode=True)
+
+
+def test_digit_limit_follows_the_interpreter_setting(monkeypatch):
+    # count_partitions(1001, 1001, 2) has 5,142 digits
+    spec = spec_for(1001, 2)
+    for limit, refused in ((4300, True), (5141, True), (5142, False), (0, False)):
+        monkeypatch.setattr(oracles.sys, "get_int_max_str_digits", lambda: limit)
+        if refused:
+            with pytest.raises(GuardrailExceeded, match="more than %d digits" % limit):
+                oracles._enforce_digit_limit(spec)
+        else:
+            oracles._enforce_digit_limit(spec)

@@ -19,9 +19,11 @@ from parorb.errors import (
     ModulusMismatch,
 )
 from parorb.model import ModuliSpec, moduli_dimension
+from parorb.chenruan import chen_ruan_table
 from parorb.partitions import (
     PointPartition,
     WeightPartition,
+    count_partitions,
     enumerate_partitions,
     galois_rotate,
 )
@@ -414,3 +416,34 @@ def test_shift_histogram_refuses_tied_weights(tied_at):
     for m in divisors(6)[1:]:
         with pytest.raises(ValueError, match="weights within a point must be distinct"):
             shift_histogram(spec, canonical_element_of_order(6, 2, m))
+
+
+@pytest.mark.parametrize(
+    "g, r, s", [(2, 3, 2), (3, 2, 5), (2, 5, 2), (3, 6, 1), (2, 6, 2)]
+)
+def test_shift_histogram_depends_on_the_shape_alone(g, r, s):
+    # S_p reads only the blocks of point p's ranks, so unrelated weights agree
+    first, second = (
+        ModuliSpec(genus=g, rank=r, degree=1, weights=uneven_weights(rng, r, s))
+        for rng in (random.Random(10 * r + s), random.Random(1000 + 10 * r + s))
+    )
+    assert first.weights != second.weights
+    for m in divisors(r)[1:]:
+        eta = canonical_element_of_order(r, g, m)
+        assert shift_histogram(first, eta) == shift_histogram(second, eta)
+
+
+def test_shift_histogram_builds_no_point_partition(monkeypatch):
+    def forbidden(cls, *args):
+        raise AssertionError("a PointPartition was built")
+
+    monkeypatch.setattr(PointPartition, "_enumerated", classmethod(forbidden))
+    weights = uneven_weights(random.Random(3), 6, 3)
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=weights)
+    for m in divisors(6)[1:]:
+        histogram = shift_histogram(spec, canonical_element_of_order(6, 2, m))
+        assert sum(histogram.values()) == count_partitions(6, m, 3) // m
+    # a prime rank needs no Betti table: the whole Chen-Ruan path runs
+    weights = uneven_weights(random.Random(4), 5, 2)
+    prime = ModuliSpec(genus=2, rank=5, degree=1, weights=weights)
+    assert chen_ruan_table(prime).to_rows()
