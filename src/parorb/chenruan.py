@@ -9,13 +9,13 @@ rotation-orbit classes of weight partitions, of
 shifted upward by twice the class's degree shift.  That series is the same
 for every class, so a sector depends on its classes only through how many
 have each shift.  chen_ruan_twisted_part reads those counts off
-shifts.shift_histogram, the s-th convolution power of one tally over the
-partitions of the ranks 0..r-1, so it builds no partition of any point's
-weights; twisted_sector enumerates the orbit representatives one by one
-and is kept as the independent check.  The Prym factor is a complex torus, so every
-twisted sector has Euler characteristic zero and the orbifold Euler
-characteristic equals the plain one — the certificate records that identity
-divisor by divisor.
+shifts.shift_histogram, the s-th convolution power of one polynomial per
+order, built by a dynamic programme over block fill vectors, so it builds
+no partition at all; twisted_sector enumerates the orbit representatives
+one by one and is kept as the independent check.  The Prym factor is a
+complex torus, so every twisted sector has Euler characteristic zero and
+the orbifold Euler characteristic equals the plain one — the certificate
+records that identity divisor by divisor.
 
 Betti tables for the small-rank factor (l > 1) are external inputs, keyed
 by (genus, rank, points, chamber); the rank-1 factor is a point and is

@@ -16,6 +16,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .arith import divisors
@@ -42,8 +43,8 @@ from .oracles import (
     _enforce_census_guardrail,
     _enforce_digit_limit,
     _enforce_partition_limit,
-    _enforce_point_partition_limit,
     _enforce_prym_limit,
+    _enforce_state_limit,
     brute_force_order_census,
     brute_force_partition_census,
     check_partition_identities,
@@ -258,7 +259,7 @@ def _oracle_section(spec: ModuliSpec) -> dict:
     return {"op": "oracle_crosschecks", "all_pass": all_pass, "checks": checks}
 
 
-def _partition_product_guard(spec: ModuliSpec) -> None:
+def _partition_product_guard(spec: ModuliSpec, provider=None) -> None:
     _enforce_partition_limit(spec, spec.rank)  # the largest family, at m = r
 
 
@@ -266,30 +267,38 @@ def _census_guard(spec: ModuliSpec) -> None:
     _enforce_census_guardrail(spec.rank, spec.genus)
 
 
+def _cr_table_guard(spec: ModuliSpec, provider) -> None:
+    _enforce_state_limit(spec)
+    _enforce_digit_limit(spec, provider, "cr_table")
+
+
 # each section name, the function that makes it and the guard that bounds
-# it (None: unguarded), in --emit's order
+# it (None: unguarded), in --emit's order; both take the spec and provider
 _SECTIONS = {
     "census": (lambda spec, provider: _census_section(spec), None),
     "components": (lambda spec, provider: _components_section(spec), _enforce_digit_limit),
     "shifts": (lambda spec, provider: _shifts_section(spec), _partition_product_guard),
-    "cr_table": (_cr_table_section, _enforce_point_partition_limit),
-    "euler": (_euler_section, None),
+    "cr_table": (_cr_table_section, _cr_table_guard),
+    "euler": (_euler_section, partial(_enforce_digit_limit, section="euler")),
     "product_rules": (lambda spec, provider: _product_rules_section(spec), None),
 }
 ALL_OUTPUTS = tuple(_SECTIONS)
 _ORACLE_GUARDS = (_census_guard, _partition_product_guard)
 
 
-def _check_guards(spec: ModuliSpec, outputs: tuple, oracle_mode: bool) -> None:
+def _check_guards(
+    spec: ModuliSpec, outputs: tuple, oracle_mode: bool, provider=None
+) -> None:
     """Raise the first guardrail the run would exceed: the run-wide genus
-    rule, the guards of the requested sections in --emit order, then oracle
-    mode's."""
-    guards = [_enforce_prym_limit]
-    guards.extend(_SECTIONS[name][1] for name in outputs)
-    if oracle_mode:
-        guards.extend(_ORACLE_GUARDS)
-    for guard in guards:
+    rule, the guards of the requested sections in --emit order, given the
+    spec and the Betti tables as read, then oracle mode's."""
+    _enforce_prym_limit(spec)
+    for name in outputs:
+        guard = _SECTIONS[name][1]
         if guard is not None:
+            guard(spec, provider)
+    if oracle_mode:
+        for guard in _ORACLE_GUARDS:
             guard(spec)
 
 
@@ -300,7 +309,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
     provider = BettiProvider(
         [table for path in config.provider_paths for table in load_betti_tables(path)]
     )
-    _check_guards(spec, config.outputs, config.oracle_mode)
+    _check_guards(spec, config.outputs, config.oracle_mode, provider)
     report = {
         "spec": spec_to_mapping(spec),
         "moduli_dimension": moduli_dimension(spec),

@@ -18,7 +18,10 @@ something:
 
 They back the test suite and the CLI's --oracle mode.  Every limit lives
 here with its rule; the oracles keep themselves at desk scale with them, and
-the CLI reads them to check a whole run before any section starts.
+the CLI reads them to check a whole run before any section starts: the
+genus, the census, the partitions the shifts rows list, the fill vectors of
+the shift-polynomial DP, and one digit rule for every printed integer,
+bounded from sizes and Betti tables known before any section runs.
 """
 
 from __future__ import annotations
@@ -29,14 +32,16 @@ from functools import partial, reduce
 from itertools import permutations, product, starmap
 from operator import and_
 
+from .arith import divisors
 from .errors import GuardrailExceeded
 from .model import ModuliSpec, moduli_dimension
 from .partitions import count_partitions
 from .shifts import dominance_count, total_codimension, fixed_component_dimension
-from .torsion import TorsionElement
+from .torsion import TorsionElement, count_elements_of_order, spectral_cover_data
 
 CENSUS_LIMIT = 10 ** 7
 PARTITION_LIMIT = 10 ** 6
+STATE_LIMIT = 2 ** 14
 PRYM_LIMIT = 1000
 
 
@@ -71,27 +76,80 @@ def _enforce_partition_limit(spec: ModuliSpec, m: int) -> None:
         )
 
 
-def _enforce_point_partition_limit(spec: ModuliSpec) -> None:
-    """Refuse a spec whose shift histograms walk too many point partitions:
-    each point's count_partitions(r, r, 1) on its own, never their product."""
-    worst = spec.num_points * count_partitions(spec.rank, spec.rank, 1)
-    if worst > PARTITION_LIMIT:
+def _enforce_state_limit(spec: ModuliSpec) -> None:
+    """Refuse a spec whose shift polynomials fill more than STATE_LIMIT
+    block fill vectors: (l+1)^m at order m, the most, 2^r, at m = r."""
+    states = 2 ** spec.rank
+    if states > STATE_LIMIT:
         raise GuardrailExceeded(
-            "%d point partitions at m = %d exceed the partition guardrail %d"
-            % (worst, spec.rank, PARTITION_LIMIT)
+            "%d block fill vectors at m = %d exceed the state guardrail %d"
+            % (states, spec.rank, STATE_LIMIT)
         )
 
 
-def _enforce_digit_limit(spec: ModuliSpec) -> None:
-    """Refuse a spec whose largest partition count, count_partitions(r, r, s),
-    has more digits than an int may have as a str
-    (sys.get_int_max_str_digits(); 0 is no limit), so that it cannot be
-    printed."""
+def _table_total(provider, genus: int, rank: int, points: int) -> int:
+    """The largest coefficient sum among the Betti tables on file for the
+    triple, 0 when there is none (the section then stops at the lookup)."""
+    tables = provider._chambers(genus, rank, points) if provider is not None else ()
+    return max((table.series.total_dimension for table in tables), default=0)
+
+
+def _largest_count(spec: ModuliSpec, provider) -> tuple[str, int]:
+    r, s = spec.rank, spec.num_points
+    return (
+        "count_partitions(r, r, s) at r = %d, s = %d" % (r, s),
+        count_partitions(r, r, s),
+    )
+
+
+def _euler_bound(spec: ModuliSpec, provider) -> tuple[str, int]:
+    return (
+        "the sum of the untwisted coefficients",
+        _table_total(provider, spec.genus, spec.rank, spec.num_points),
+    )
+
+
+def _cr_table_bound(spec: ModuliSpec, provider) -> tuple[str, int]:
+    """The sum of every dimension in the table: the untwisted total plus,
+    per order m, the elements of order m times their orbit classes times
+    the total of the Prym and small-rank series each class carries."""
+    r, g, s = spec.rank, spec.genus, spec.num_points
+    bound = _table_total(provider, g, r, s)
+    for m in divisors(r)[1:]:
+        cover = spectral_cover_data(g, m)
+        small = 1 if m == r else _table_total(provider, cover.cover_genus, r // m, s * m)
+        bound += (
+            count_elements_of_order(r, g, m) * (count_partitions(r, m, s) // m)
+            * 4 ** cover.prym_dimension * small
+        )
+    return "the sum of the cr_table dimensions", bound
+
+
+_PRINTED_BOUNDS = {
+    "components": _largest_count,
+    "euler": _euler_bound,
+    "cr_table": _cr_table_bound,
+}
+
+
+def _enforce_digit_limit(
+    spec: ModuliSpec, provider=None, section: str = "components"
+) -> None:
+    """Refuse a section whose largest printed integer may have more digits
+    than an int may have as a str (sys.get_int_max_str_digits(); 0 is no
+    limit), so that it cannot be printed.  The integer is bounded from
+    above by _PRINTED_BOUNDS, from sizes known before the section runs and
+    the Betti tables as read: for components its largest count,
+    count_partitions(r, r, s); for euler the sum of the untwisted
+    coefficients; for cr_table the sum of all its dimensions.  A bound can
+    refuse a value that would just have fit."""
     limit = sys.get_int_max_str_digits()
-    if limit and count_partitions(spec.rank, spec.rank, spec.num_points) >= 10 ** limit:
+    if not limit:
+        return
+    what, bound = _PRINTED_BOUNDS[section](spec, provider)
+    if bound >= 10 ** limit:
         raise GuardrailExceeded(
-            "count_partitions(r, r, s) at r = %d, s = %d has more than %d digits, "
-            "the int-to-str limit" % (spec.rank, spec.num_points, limit)
+            "%s has more than %d digits, the int-to-str limit" % (what, limit)
         )
 
 

@@ -15,12 +15,12 @@ sum_i (i/m) * mult(i).  The dimension bookkeeping
 
 holds exactly for every partition.  The rule is written here once: the
 CLI's shifts rows come from _orbit_classes, and shift_histogram counts the
-classes of each shift from one tally over the partitions of the ranks.
+classes of each shift from _shift_polynomial, a dynamic programme over how
+full each block is, which builds no partition at all.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -283,16 +283,41 @@ def _orbit_classes(spec: ModuliSpec, eta: TorsionElement) -> Iterator[tuple]:
         yield blocks, numerator // d, m // d, [base + sum(c) for c in zip(*counts)]
 
 
+def _shift_polynomial(r: int, m: int) -> dict[int, int]:
+    """Number of ordered partitions of the ranks 0..r-1 into m blocks per
+    value of S = sum_i i*C(i).
+
+    The ranks go in ascending order, so a new rank dominates every rank
+    already placed: put in block j, with n_k ranks in block k, it adds
+    sum_k n_k*((k-j) mod m) to S.  The state is the fill vector n, one of
+    (l+1)^m with l = r/m; a cyclic cousin of MacMahon's inversion
+    q-multinomial.
+    """
+    l = r // m
+    layer = {(0,) * m: {0: 1}}
+    for _ in range(r):
+        following: dict[tuple, dict[int, int]] = {}
+        for fill, counts in layer.items():
+            for j in range(m):
+                if fill[j] < l:
+                    step = sum(n * ((k - j) % m) for k, n in enumerate(fill))
+                    grown = fill[:j] + (fill[j] + 1,) + fill[j + 1:]
+                    target = following.setdefault(grown, {})
+                    for total, count in counts.items():
+                        target[total + step] = target.get(total + step, 0) + count
+        layer = following
+    return layer[(l,) * m]
+
+
 def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int]:
     """Number of rotation-orbit classes of weight partitions per degree shift.
 
     A shift is (base*m(m-1)/2 + sum_p S_p)/m with base = r^2(g-1)/m and
     S_p = sum_i i*C_p(i), which depends only on the blocks of point p's
-    ranks and not on a rotation of them.  So with A the tally of S over the
-    partitions of the ranks 0..r-1 with rank 0 in block 0, counted once,
-    the counts are m^(s-1) times the s-fold convolution of A: point 0
-    anchored, every other point m times A.  No point's partitions are
-    built; each point's weights are still checked for ties.  Keys ascend.
+    ranks and not on a rotation of them.  So the counts are the s-fold
+    convolution of _shift_polynomial(r, m), divided by m, the size of
+    every orbit.  No partition is built; each point's weights are still
+    checked for ties.  Keys ascend.
 
     >>> from fractions import Fraction as F
     >>> spec = ModuliSpec(genus=2, rank=6, degree=1,
@@ -304,17 +329,13 @@ def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int
     m = _require_shift_hypotheses(spec, eta)
     for weights in spec.weights:
         _sorted_distinct(weights)
-    anchored = Counter(
-        sum(i * c for i, c in enumerate(vector))
-        for _, vector in _labelled_partitions(range(spec.rank), m, anchored=True)
-    )
+    polynomial = _shift_polynomial(spec.rank, m)
     totals = {0: 1}
     for _ in spec.weights:
         convolved: dict[int, int] = {}
         for a, count_a in totals.items():
-            for b, count_b in anchored.items():
+            for b, count_b in polynomial.items():
                 convolved[a + b] = convolved.get(a + b, 0) + count_a * count_b
         totals = convolved
     shift_base = _base_multiplicity(spec, m) * (m * (m - 1) // 2)
-    scale = m ** (spec.num_points - 1)
-    return {Fraction(shift_base + t, m): scale * n for t, n in sorted(totals.items())}
+    return {Fraction(shift_base + t, m): n // m for t, n in sorted(totals.items())}

@@ -313,9 +313,10 @@ def test_guardrail_exits_5_for_huge_shift_enumeration(tmp_path):
     assert json.loads(result.stderr)["error"]["type"] == "GuardrailExceeded"
 
 
-def test_cr_table_guardrail_counts_point_partitions(tmp_path):
-    # cr_table walks each point's partitions on its own, so a rank-7,
-    # two-point spec (25,401,600 partitions in product) is affordable
+def test_cr_table_runs_a_two_point_rank_seven_spec(tmp_path):
+    # cr_table reads each order's shift polynomial off a fill-vector DP and
+    # builds no partition, so a rank-7, two-point spec (25,401,600
+    # partitions in product) is affordable
     seven = {
         "genus": 2,
         "rank": 7,
@@ -330,26 +331,30 @@ def test_cr_table_guardrail_counts_point_partitions(tmp_path):
     assert section["rows"] == chen_ruan_table(load_spec(path)).to_rows()
 
 
-def test_cr_table_guardrail_exits_5_at_rank_ten(tmp_path):
-    ten = {
-        "genus": 2,
-        "rank": 10,
-        "degree": 1,
-        "weights": [[f"{i}/11" for i in range(1, 11)]],
-    }
+def test_cr_table_runs_at_rank_eleven(tmp_path):
+    # 2^11 fill vectors; the partition count 11! once exceeded a guard, and
+    # a prime rank needs no Betti table for any twisted sector
+    path = genus_spec(tmp_path, 2, 11)
+    result = run_cli("--spec", path, "--emit", "cr_table")
+    assert result.returncode == 0
+    section = json.loads(result.stdout)["outputs"]["cr_table"]
+    assert section["rows"] == chen_ruan_table(load_spec(path)).to_rows()
+
+
+def test_cr_table_guardrail_exits_5_at_rank_fifteen(tmp_path):
     result = run_cli(
-        "--spec", write_json(tmp_path / "g2r10.json", ten), "--emit", "cr_table"
+        "--spec", genus_spec(tmp_path, 2, 15), "--emit", "cr_table"
     )
     assert result.returncode == 5
     assert result.stdout == b""
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "GuardrailExceeded"
-    assert "3628800 point partitions at m = 10" in error["message"]
+    assert error["message"] == STATE_REFUSAL
 
 
 CENSUS_REFUSAL = "r^(2g) = 60466176 exceeds the census guardrail 10000000"
 PRODUCT_REFUSAL = "|P(alpha)| = 3628800 at m = 10 exceeds the partition guardrail 1000000"
-POINT_REFUSAL = "3628800 point partitions at m = 10 exceed the partition guardrail 1000000"
+STATE_REFUSAL = "32768 block fill vectors at m = 15 exceed the state guardrail 16384"
 
 
 def g5r6s2(tmp_path, degree=1):
@@ -394,7 +399,8 @@ def test_guardrail_wins_over_a_missing_capability(tmp_path, capsys):
 @pytest.mark.parametrize(
     "genus, emit, message",
     [
-        (2, ["--emit", "cr_table,shifts"], POINT_REFUSAL),
+        # at rank 15, where the shift-polynomial states fail too
+        (2, ["--emit", "cr_table,shifts"], STATE_REFUSAL),
         (2, ["--emit", "shifts,cr_table"], PRODUCT_REFUSAL),
         (2, ["--emit", "euler", "--oracle"], PRODUCT_REFUSAL),
         # 10^8 elements: oracle mode checks the census before the partitions
@@ -406,13 +412,9 @@ def test_guardrail_wins_over_a_missing_capability(tmp_path, capsys):
 def test_guards_are_checked_in_emit_order_then_oracle(
     tmp_path, capsys, genus, emit, message
 ):
-    ten = {
-        "genus": genus,
-        "rank": 10,
-        "degree": 1,
-        "weights": [[f"{i}/11" for i in range(1, 11)]],
-    }
-    argv = ["--spec", write_json(tmp_path / "r10.json", ten), *emit]
+    # rank 10 passes cr_table's guard, so it could not tell the order apart
+    rank = 15 if message == STATE_REFUSAL else 10
+    argv = ["--spec", genus_spec(tmp_path, genus, rank), *emit]
     assert refusal(capsys, argv) == (5, message)
 
 
@@ -500,6 +502,59 @@ def test_components_prints_a_count_within_the_digit_limit(
     rows = json.loads(capsys.readouterr().out)["outputs"]["components"]["rows"]
     assert rows[-1]["order"] == 1001
     assert rows[-1]["partition_count"] == math.factorial(1001)
+
+
+def test_euler_refuses_a_sum_past_the_digit_limit(
+    tmp_path, capsys, spec_g2r3, digit_limit
+):
+    # each 4,300-digit coefficient reads, but their alternating sum has 4,301
+    nines = int("9" * 4300)
+    tables = [{"genus": 2, "rank": 3, "points": 1, "chamber": "c0",
+               "coefficients": [nines, 0, nines, 0, nines]}]
+    provider = write_json(tmp_path / "tables.json", tables)
+    argv = ["--spec", spec_g2r3, "--provider", provider, "--emit", "euler"]
+    assert refusal(capsys, argv) == (
+        5, "the sum of the untwisted coefficients has more than 4300 digits, "
+        "the int-to-str limit"
+    )
+
+
+CR_TABLE_DIGITS = (
+    "the sum of the cr_table dimensions has more than 4300 digits, "
+    "the int-to-str limit"
+)
+
+
+def test_cr_table_refuses_a_small_rank_table_past_the_digit_limit(
+    tmp_path, capsys, digit_limit
+):
+    # the order-2 sector multiplies a 4,299-digit coefficient by its class
+    # and element counts
+    spec = {"genus": 2, "rank": 6, "degree": 1,
+            "weights": [[f"{i}/7" for i in range(1, 7)]]}
+    tables = [
+        {"genus": 3, "rank": 3, "points": 2, "chamber": "c0",
+         "coefficients": [int("9" * 4299), 0, int("9" * 4299)]},
+        {"genus": 4, "rank": 2, "points": 3, "chamber": "c0",
+         "coefficients": [1, 1]},
+    ]
+    argv = [
+        "--spec", write_json(tmp_path / "g2r6.json", spec),
+        "--provider", write_json(tmp_path / "tables.json", tables),
+        "--emit", "cr_table",
+    ]
+    assert refusal(capsys, argv) == (5, CR_TABLE_DIGITS)
+
+
+def test_cr_table_refuses_5600_points_at_once(tmp_path, capsys, digit_limit):
+    # 80 elements of order 3 times 6^5600/3 classes pass 4,300 digits; the
+    # sector would take tens of seconds to build before failing to print
+    started = time.perf_counter()
+    spec = {"genus": 2, "rank": 3, "degree": 1,
+            "weights": [["1/4", "1/2", "3/4"]] * 5600}
+    argv = ["--spec", write_json(tmp_path / "g2r3.json", spec), "--emit", "cr_table"]
+    assert refusal(capsys, argv) == (5, CR_TABLE_DIGITS)
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("flag", ["--spec", "--provider"])

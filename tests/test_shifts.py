@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from collections import Counter
@@ -20,8 +21,10 @@ from parorb.errors import (
 )
 from parorb.model import ModuliSpec, moduli_dimension
 from parorb.chenruan import chen_ruan_table
+from parorb import partitions
 from parorb.partitions import (
     PointPartition,
+    _labelled_partitions,
     WeightPartition,
     count_partitions,
     enumerate_partitions,
@@ -31,6 +34,7 @@ from parorb.shifts import (
     DegreeShift,
     degree_shift,
     dominance_count,
+    _shift_polynomial,
     eigenvalue_multiplicities,
     fixed_component_dimension,
     shift_histogram,
@@ -437,7 +441,11 @@ def test_shift_histogram_builds_no_point_partition(monkeypatch):
     def forbidden(cls, *args):
         raise AssertionError("a PointPartition was built")
 
+    def no_rank_partitions(*args):
+        raise AssertionError("a partition of the ranks was walked")
+
     monkeypatch.setattr(PointPartition, "_enumerated", classmethod(forbidden))
+    monkeypatch.setattr(partitions, "_rank_partitions", no_rank_partitions)
     weights = uneven_weights(random.Random(3), 6, 3)
     spec = ModuliSpec(genus=2, rank=6, degree=1, weights=weights)
     for m in divisors(6)[1:]:
@@ -447,3 +455,28 @@ def test_shift_histogram_builds_no_point_partition(monkeypatch):
     weights = uneven_weights(random.Random(4), 5, 2)
     prime = ModuliSpec(genus=2, rank=5, degree=1, weights=weights)
     assert chen_ruan_table(prime).to_rows()
+
+
+def rank_shapes(largest):
+    return [(r, m) for r in range(1, largest + 1) for m in divisors(r)]
+
+
+@pytest.mark.parametrize("r, m", rank_shapes(9))
+def test_shift_polynomial_matches_the_anchored_tally(r, m):
+    # every partition is one of m rotations of an anchored one, all with
+    # the same S
+    anchored = Counter(
+        sum(i * c for i, c in enumerate(vector))
+        for _, vector in _labelled_partitions(range(r), m, anchored=True)
+    )
+    assert _shift_polynomial(r, m) == {total: m * n for total, n in anchored.items()}
+
+
+@pytest.mark.parametrize("r, m", rank_shapes(12))
+def test_shift_polynomial_counts_palindromes_divisible_by_m(r, m):
+    polynomial = _shift_polynomial(r, m)
+    l = r // m
+    assert sum(polynomial.values()) == math.factorial(r) // math.factorial(l) ** m
+    low, high = min(polynomial), max(polynomial)
+    assert all(polynomial.get(low + high - total) == n for total, n in polynomial.items())
+    assert all(n % m == 0 for n in polynomial.values())
