@@ -16,7 +16,6 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .arith import divisors
@@ -41,10 +40,13 @@ from .fixed_loci import fixed_locus_components, intersection_support
 from .model import ModuliSpec, load_spec, moduli_dimension, spec_to_mapping
 from .oracles import (
     _enforce_census_guardrail,
-    _enforce_digit_limit,
+    _enforce_convolution_limit,
+    _enforce_count_digits,
+    _enforce_euler_digits,
     _enforce_partition_limit,
     _enforce_prym_limit,
     _enforce_state_limit,
+    _enforce_table_digits,
     brute_force_order_census,
     brute_force_partition_census,
     check_partition_identities,
@@ -263,24 +265,25 @@ def _partition_product_guard(spec: ModuliSpec, provider=None) -> None:
     _enforce_partition_limit(spec, spec.rank)  # the largest family, at m = r
 
 
-def _census_guard(spec: ModuliSpec) -> None:
+def _census_guard(spec: ModuliSpec, provider=None) -> None:
     _enforce_census_guardrail(spec.rank, spec.genus)
 
 
-def _cr_table_guard(spec: ModuliSpec, provider) -> None:
-    _enforce_state_limit(spec)
-    _enforce_digit_limit(spec, provider, "cr_table")
-
-
-# each section name, the function that makes it and the guard that bounds
-# it (None: unguarded), in --emit's order; both take the spec and provider
+# the one map from a section to its rules: each name, the function that
+# makes the section and the rules that bound it, in the order they are
+# checked; sections in --emit's order, and all take the spec and provider
 _SECTIONS = {
-    "census": (lambda spec, provider: _census_section(spec), None),
-    "components": (lambda spec, provider: _components_section(spec), _enforce_digit_limit),
-    "shifts": (lambda spec, provider: _shifts_section(spec), _partition_product_guard),
-    "cr_table": (_cr_table_section, _cr_table_guard),
-    "euler": (_euler_section, partial(_enforce_digit_limit, section="euler")),
-    "product_rules": (lambda spec, provider: _product_rules_section(spec), None),
+    "census": (lambda spec, provider: _census_section(spec), ()),
+    "components": (
+        lambda spec, provider: _components_section(spec), (_enforce_count_digits,)
+    ),
+    "shifts": (lambda spec, provider: _shifts_section(spec), (_partition_product_guard,)),
+    "cr_table": (
+        _cr_table_section,
+        (_enforce_state_limit, _enforce_table_digits, _enforce_convolution_limit),
+    ),
+    "euler": (_euler_section, (_enforce_euler_digits,)),
+    "product_rules": (lambda spec, provider: _product_rules_section(spec), ()),
 }
 ALL_OUTPUTS = tuple(_SECTIONS)
 _ORACLE_GUARDS = (_census_guard, _partition_product_guard)
@@ -290,16 +293,15 @@ def _check_guards(
     spec: ModuliSpec, outputs: tuple, oracle_mode: bool, provider=None
 ) -> None:
     """Raise the first guardrail the run would exceed: the run-wide genus
-    rule, the guards of the requested sections in --emit order, given the
+    rule, the rules of the requested sections in --emit order, given the
     spec and the Betti tables as read, then oracle mode's."""
-    _enforce_prym_limit(spec)
+    rules = [_enforce_prym_limit]
     for name in outputs:
-        guard = _SECTIONS[name][1]
-        if guard is not None:
-            guard(spec, provider)
+        rules.extend(_SECTIONS[name][1])
     if oracle_mode:
-        for guard in _ORACLE_GUARDS:
-            guard(spec)
+        rules.extend(_ORACLE_GUARDS)
+    for rule in rules:
+        rule(spec, provider)
 
 
 def run(config: RunConfig) -> tuple[dict, int]:

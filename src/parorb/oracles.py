@@ -18,10 +18,11 @@ something:
 
 They back the test suite and the CLI's --oracle mode.  Every limit lives
 here with its rule; the oracles keep themselves at desk scale with them, and
-the CLI reads them to check a whole run before any section starts: the
-genus, the census, the partitions the shifts rows list, the fill vectors of
-the shift-polynomial DP, and one digit rule for every printed integer,
-bounded from sizes and Betti tables known before any section runs.
+the CLI checks a whole run with them, as rules taking (spec, provider),
+before any section starts: the genus, the census, the partitions the shifts
+rows list, the fill vectors of the shift-polynomial DP and the products of
+its convolution, and the digits of a partition count, an Euler sum and a
+Chen-Ruan table.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .torsion import TorsionElement, count_elements_of_order, spectral_cover_dat
 CENSUS_LIMIT = 10 ** 7
 PARTITION_LIMIT = 10 ** 6
 STATE_LIMIT = 2 ** 14
+CONVOLUTION_LIMIT = 10 ** 7
 PRYM_LIMIT = 1000
 
 
-def _enforce_prym_limit(spec: ModuliSpec) -> None:
+def _enforce_prym_limit(spec: ModuliSpec, provider=None) -> None:
     """Refuse a genus whose longest Prym series, (r-1)(g-1) at m = r, is
     longer than PRYM_LIMIT; it also keeps r^(2g) near 600 digits or fewer.
     A rule for the whole run, not for one section."""
@@ -76,7 +78,7 @@ def _enforce_partition_limit(spec: ModuliSpec, m: int) -> None:
         )
 
 
-def _enforce_state_limit(spec: ModuliSpec) -> None:
+def _enforce_state_limit(spec: ModuliSpec, provider=None) -> None:
     """Refuse a spec whose shift polynomials fill more than STATE_LIMIT
     block fill vectors: (l+1)^m at order m, the most, 2^r, at m = r."""
     states = 2 ** spec.rank
@@ -87,6 +89,25 @@ def _enforce_state_limit(spec: ModuliSpec) -> None:
         )
 
 
+def _enforce_convolution_limit(spec: ModuliSpec, provider=None) -> None:
+    """Refuse a spec whose shift histograms may take more than
+    CONVOLUTION_LIMIT products to convolve.  Each pair of ranks in
+    different blocks adds 0..m-1 to S, so the order-m polynomial spans at
+    most w = (m-1)(C(r,2) - m*C(l,2)), and its s-fold convolution makes at
+    most s*(s*w+1)*(w+1) products; the rule sums that over the orders."""
+    r, s = spec.rank, spec.num_points
+    products = 0
+    for m in divisors(r)[1:]:
+        l = r // m
+        width = (m - 1) * (r * (r - 1) // 2 - m * (l * (l - 1) // 2))
+        products += s * (s * width + 1) * (width + 1)
+    if products > CONVOLUTION_LIMIT:
+        raise GuardrailExceeded(
+            "%d products convolving the shift polynomials of %d points exceed "
+            "the convolution guardrail %d" % (products, s, CONVOLUTION_LIMIT)
+        )
+
+
 def _table_total(provider, genus: int, rank: int, points: int) -> int:
     """The largest coefficient sum among the Betti tables on file for the
     triple, 0 when there is none (the section then stops at the lookup)."""
@@ -94,25 +115,41 @@ def _table_total(provider, genus: int, rank: int, points: int) -> int:
     return max((table.series.total_dimension for table in tables), default=0)
 
 
-def _largest_count(spec: ModuliSpec, provider) -> tuple[str, int]:
+def _refuse_digits(what: str, bound: int) -> None:
+    """Refuse a printed integer, bounded from above by bound, that may have
+    more digits than an int may have as a str (sys.get_int_max_str_digits();
+    0 is no limit), so that it cannot be printed.  A bound can refuse a
+    value that would just have fit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and bound >= 10 ** limit:
+        raise GuardrailExceeded(
+            "%s has more than %d digits, the int-to-str limit" % (what, limit)
+        )
+
+
+def _enforce_count_digits(spec: ModuliSpec, provider=None) -> None:
+    """The digit rule for the largest partition count, count_partitions(r, r, s)."""
     r, s = spec.rank, spec.num_points
-    return (
+    _refuse_digits(
         "count_partitions(r, r, s) at r = %d, s = %d" % (r, s),
         count_partitions(r, r, s),
     )
 
 
-def _euler_bound(spec: ModuliSpec, provider) -> tuple[str, int]:
-    return (
+def _enforce_euler_digits(spec: ModuliSpec, provider=None) -> None:
+    """The digit rule for the Euler characteristic, bounded by the sum of
+    the untwisted coefficients as read."""
+    _refuse_digits(
         "the sum of the untwisted coefficients",
         _table_total(provider, spec.genus, spec.rank, spec.num_points),
     )
 
 
-def _cr_table_bound(spec: ModuliSpec, provider) -> tuple[str, int]:
-    """The sum of every dimension in the table: the untwisted total plus,
-    per order m, the elements of order m times their orbit classes times
-    the total of the Prym and small-rank series each class carries."""
+def _enforce_table_digits(spec: ModuliSpec, provider=None) -> None:
+    """The digit rule for a Chen-Ruan table, bounded by the sum of all its
+    dimensions: the untwisted total plus, per order m, the elements of
+    order m times their orbit classes times the total of the Prym and
+    small-rank series each class carries."""
     r, g, s = spec.rank, spec.genus, spec.num_points
     bound = _table_total(provider, g, r, s)
     for m in divisors(r)[1:]:
@@ -122,35 +159,7 @@ def _cr_table_bound(spec: ModuliSpec, provider) -> tuple[str, int]:
             count_elements_of_order(r, g, m) * (count_partitions(r, m, s) // m)
             * 4 ** cover.prym_dimension * small
         )
-    return "the sum of the cr_table dimensions", bound
-
-
-_PRINTED_BOUNDS = {
-    "components": _largest_count,
-    "euler": _euler_bound,
-    "cr_table": _cr_table_bound,
-}
-
-
-def _enforce_digit_limit(
-    spec: ModuliSpec, provider=None, section: str = "components"
-) -> None:
-    """Refuse a section whose largest printed integer may have more digits
-    than an int may have as a str (sys.get_int_max_str_digits(); 0 is no
-    limit), so that it cannot be printed.  The integer is bounded from
-    above by _PRINTED_BOUNDS, from sizes known before the section runs and
-    the Betti tables as read: for components its largest count,
-    count_partitions(r, r, s); for euler the sum of the untwisted
-    coefficients; for cr_table the sum of all its dimensions.  A bound can
-    refuse a value that would just have fit."""
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    what, bound = _PRINTED_BOUNDS[section](spec, provider)
-    if bound >= 10 ** limit:
-        raise GuardrailExceeded(
-            "%s has more than %d digits, the int-to-str limit" % (what, limit)
-        )
+    _refuse_digits("the sum of the cr_table dimensions", bound)
 
 
 def brute_force_order_census(r: int, g: int) -> dict[int, int]:

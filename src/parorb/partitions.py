@@ -309,21 +309,13 @@ def orbit_canonical(t: WeightPartition) -> tuple[WeightPartition, int]:
     recovers t from it: galois_rotate(rep, amount) == t.
 
     The least rotation brings the point-0 block holding point 0's smallest
-    weight to position 0, so finding that block is all the work.  The answer
-    is kept on t: the rotation amount, and the representative only when it
-    is not t itself (t holding itself would be a reference cycle that keeps
-    streamed partitions alive until the cyclic collector runs).  A canonical
-    t is returned as is, with amount 0.
+    weight to position 0, so finding that block is all the work.  A
+    canonical t is returned as is, with amount 0.
     """
-    try:
-        rep, amount = t._orbit  # type: ignore[attr-defined]
-    except AttributeError:
-        m = t.m
-        blocks = t.per_point[0].blocks
-        j = min(range(m), key=lambda k: blocks[k][0])
-        rep, amount = (galois_rotate(t, j) if j else None), (m - j) % m
-        object.__setattr__(t, "_orbit", (rep, amount))
-    return (t if rep is None else rep), amount
+    m = t.m
+    blocks = t.per_point[0].blocks
+    j = min(range(m), key=lambda k: blocks[k][0])
+    return galois_rotate(t, j), (m - j) % m
 
 
 @dataclass(frozen=True)

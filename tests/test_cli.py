@@ -557,6 +557,36 @@ def test_cr_table_refuses_5600_points_at_once(tmp_path, capsys, digit_limit):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize(
+    "rank, points, products",
+    [(3, 2000, 168014000), (7, 200, 640105400), (3, 4000, 672028000)],
+)
+def test_cr_table_refuses_a_long_convolution_at_once(
+    tmp_path, capsys, rank, points, products
+):
+    # these once ran for seconds and printed megabytes of rows; the state
+    # and digit rules both admit them
+    started = time.perf_counter()
+    doc = {"genus": 2, "rank": rank, "degree": 1,
+           "weights": [[f"{i}/{rank + 1}" for i in range(1, rank + 1)]] * points}
+    argv = ["--spec", write_json(tmp_path / "many.json", doc), "--emit", "cr_table"]
+    assert refusal(capsys, argv) == (
+        5, "%d products convolving the shift polynomials of %d points exceed "
+        "the convolution guardrail 10000000" % (products, points)
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("emit", ["euler", "components", "cr_table"])
+def test_only_cr_table_counts_fill_vectors(tmp_path, capsys, emit):
+    argv = ["--spec", genus_spec(tmp_path, 2, 15), "--emit", emit]
+    if emit == "cr_table":
+        assert refusal(capsys, argv) == (5, STATE_REFUSAL)
+    else:
+        assert cli.main(argv) == 0
+        assert emit in json.loads(capsys.readouterr().out)["outputs"]
+
+
 @pytest.mark.parametrize("flag", ["--spec", "--provider"])
 @pytest.mark.parametrize(
     "content",

@@ -1,12 +1,17 @@
-"""The CLI reaches the partition core only through its public names.
+"""The CLI reaches the partition core only through its public names, and
+the guard rules know nothing of the CLI's sections.
 
 The rows of the shifts section are built by shifts._orbit_classes; a CLI
 that imported a private helper of parorb.partitions could grow its own copy
-of the shift rule again.
+of the shift rule again.  cli._SECTIONS is the one map from a section to the
+rules that bound it; a rule in parorb.oracles that named a section could
+grow a second one.
 """
 
 import ast
 from pathlib import Path
+
+from parorb.cli import ALL_OUTPUTS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parorb"
 
@@ -27,3 +32,13 @@ def test_cli_imports_no_private_name_from_partitions():
     names = imported_names(PACKAGE / "cli.py", "partitions")
     assert names, "cli.py no longer imports from parorb.partitions"
     assert [(line, name) for line, name in names if name.startswith("_")] == []
+
+
+def test_oracles_names_no_cli_section():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
+    named = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ALL_OUTPUTS
+    ]
+    assert named == []

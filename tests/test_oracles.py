@@ -8,6 +8,7 @@ import pytest
 
 from parorb import cli, oracles
 from parorb.arith import divisors
+from parorb.chenruan import BettiProvider
 from parorb.errors import GuardrailExceeded
 from parorb.model import ModuliSpec
 from parorb.oracles import (
@@ -23,6 +24,7 @@ from parorb.partitions import (
     count_partitions,
     enumerate_partitions,
 )
+from parorb.shifts import _shift_polynomial
 from parorb.torsion import canonical_element_of_order, count_elements_of_order
 
 
@@ -290,6 +292,41 @@ def test_digit_limit_follows_the_interpreter_setting(monkeypatch):
         monkeypatch.setattr(oracles.sys, "get_int_max_str_digits", lambda: limit)
         if refused:
             with pytest.raises(GuardrailExceeded, match="more than %d digits" % limit):
-                oracles._enforce_digit_limit(spec)
+                oracles._enforce_count_digits(spec)
         else:
-            oracles._enforce_digit_limit(spec)
+            oracles._enforce_count_digits(spec)
+
+
+def test_every_guard_rule_takes_the_spec_and_provider():
+    spec, provider = spec_for(6, 1), BettiProvider()
+    rules = [oracles._enforce_prym_limit, *cli._ORACLE_GUARDS]
+    for _, section_rules in cli._SECTIONS.values():
+        rules.extend(section_rules)
+    for rule in rules:
+        assert rule(spec, provider) is None
+
+
+def convolution_products(spec):
+    # the products shift_histogram's loop makes, one term pair at a time
+    products = 0
+    for m in divisors(spec.rank)[1:]:
+        polynomial = _shift_polynomial(spec.rank, m)
+        totals = {0}
+        for _ in range(spec.num_points):
+            products += len(totals) * len(polynomial)
+            totals = {a + b for a in totals for b in polynomial}
+    return products
+
+
+@pytest.mark.parametrize("r, s", [(3, 1), (3, 40), (5, 3), (6, 3), (7, 2), (9, 1)])
+def test_convolution_limit_counts_at_least_the_products_made(r, s, monkeypatch):
+    monkeypatch.setattr(oracles, "CONVOLUTION_LIMIT", 0)
+    with pytest.raises(GuardrailExceeded) as refused:
+        oracles._enforce_convolution_limit(spec_for(r, s))
+    assert int(str(refused.value).split()[0]) >= convolution_products(spec_for(r, s))
+
+
+def test_convolution_limit_admits_487_points_of_rank_3_and_not_488():
+    oracles._enforce_convolution_limit(spec_for(3, 487))
+    with pytest.raises(GuardrailExceeded, match="^10005464 products"):
+        oracles._enforce_convolution_limit(spec_for(3, 488))

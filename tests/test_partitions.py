@@ -176,7 +176,7 @@ def test_orbit_canonical_keeps_its_answer():
             assert rep is t
         else:
             again, again_amount = orbit_canonical(t)
-            assert rep is not t and again is rep and again_amount == amount
+            assert rep is not t and again == rep and again_amount == amount
     assert canonical.count(True) == 30 and canonical.count(False) == 60
 
 
