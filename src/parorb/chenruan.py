@@ -8,11 +8,12 @@ rotation-orbit classes of weight partitions, of
 
 shifted upward by twice the class's degree shift.  That series is the same
 for every class, so a sector depends on its classes only through how many
-have each shift.  chen_ruan_twisted_part reads those counts off
+have each shift.  chen_ruan_table reads those counts off
 shifts.shift_histogram, the s-th convolution power of one polynomial per
 order, built by a dynamic programme over block fill vectors, so it builds
-no partition at all; twisted_sector enumerates the orbit representatives
-one by one and is kept as the independent check.  The Prym factor is a
+no partition at all.  The table is one sum on the integer keys r * grade;
+twisted_sector shares it, enumerates the orbit representatives one by one
+and is kept as the independent check.  The Prym factor is a
 complex torus, so every twisted sector has Euler characteristic zero and
 the orbifold Euler characteristic equals the plain one — the certificate
 records that identity divisor by divisor.
@@ -404,17 +405,20 @@ def _sector_series(
     )
 
 
-def _shifted_sum(
-    series: PoincareSeries, histogram: dict[Fraction, int]
-) -> RationalGradedDimension:
-    """Sum over shifts of count copies of series moved up by twice the shift."""
-    accumulated: dict[Fraction, int] = {}
-    for shift, count in histogram.items():
-        offset = 2 * shift
-        for k, d in series.coefficients:
-            grade = k + offset
-            accumulated[grade] = accumulated.get(grade, 0) + count * d
-    return RationalGradedDimension(tuple(accumulated.items()))
+def _shifted_sum(r: int, sectors: list) -> RationalGradedDimension:
+    """One table from (series, histogram, factor) triples: factor copies of
+    series per class, moved up by twice its shift, added on the ints r * grade
+    (each shift's denominator divides r), so each grade is a Fraction once."""
+    accumulated: dict[int, int] = {}
+    for series, histogram, factor in sectors:
+        for shift, count in histogram.items():
+            offset = 2 * shift.numerator * (r // shift.denominator)
+            for k, d in series.coefficients:
+                key = r * k + offset
+                accumulated[key] = accumulated.get(key, 0) + factor * count * d
+    return RationalGradedDimension(
+        tuple((Fraction(key, r), d) for key, d in accumulated.items())
+    )
 
 
 def _check_class_count(spec: ModuliSpec, eta: TorsionElement, count: int) -> None:
@@ -437,9 +441,10 @@ def twisted_sector(
     Enumerates the rotation-orbit representatives (compute_orbit_section)
     and takes each one's degree shift; every class carries the series
     prym (x) small-rank (one Betti lookup, shared), shifted upward by twice
-    its shift, and sector_graded is the sum.  This walks the product of the
-    per-point partitions; chen_ruan_twisted_part gets the same sums from
-    shift_histogram instead, and this function is its independent check.
+    its shift, and sector_graded is the sum, taken by the _shifted_sum the
+    table uses.  This walks the product of the per-point partitions;
+    chen_ruan_table gets the same classes per shift from shift_histogram
+    instead, and this function is its independent check.
     """
     m = _require_shift_hypotheses(spec, eta)
     series = _sector_series(spec, m, provider, chamber)
@@ -452,7 +457,7 @@ def twisted_sector(
     report = SectorReport(
         eta=eta,
         per_orbit=tuple(per_orbit),
-        sector_graded=_shifted_sum(series, histogram),
+        sector_graded=_shifted_sum(spec.rank, [(series, histogram, 1)]),
     )
     _check_class_count(spec, eta, report.orbit_class_count)
     return report
@@ -461,25 +466,8 @@ def twisted_sector(
 def chen_ruan_twisted_part(
     spec: ModuliSpec, provider=None, chamber: Optional[str] = None
 ) -> RationalGradedDimension:
-    """Sum of all twisted sectors, weighted by the order census.
-
-    Counts and shifts depend on an element only through its order, so one
-    sector per divisor m != 1 of r is computed and scaled by the number of
-    elements of that exact order.  Each sector comes from shift_histogram,
-    the number of orbit classes per shift, without enumerating the orbit
-    representatives; it equals twisted_sector(...).sector_graded.  Checks
-    run in the order twisted_sector runs them: shift hypotheses, Betti
-    lookup, orbit-class count.
-    """
-    r, g = spec.rank, spec.genus
-    total = RationalGradedDimension.empty()
-    for m, eta in _nontrivial_orders(r, g):
-        histogram = shift_histogram(spec, eta)  # checks the shift hypotheses
-        series = _sector_series(spec, m, provider, chamber)
-        _check_class_count(spec, eta, sum(histogram.values()))
-        sector = _shifted_sum(series, histogram)
-        total = total.add(sector.scale(count_elements_of_order(r, g, m)))
-    return total
+    """Sum of the twisted sectors: chen_ruan_table with no untwisted row."""
+    return chen_ruan_table(spec, provider, None, chamber)
 
 
 def chen_ruan_table(
@@ -490,15 +478,25 @@ def chen_ruan_table(
 ) -> RationalGradedDimension:
     """Full rationally graded dimension table of the quotient orbifold.
 
-    untwisted is the Betti series of the moduli itself (the quotient's
-    ordinary cohomology agrees with it); passing None assembles the twisted
-    part alone, which is complete except for the integer-graded untwisted
-    row.
+    Counts and shifts depend on an element only through its order, so one
+    sector per divisor m != 1 of r is taken, weighted by the number of
+    elements of that order; its classes per shift come from shift_histogram
+    (the sector equals twisted_sector(...).sector_graded).  Checks run per
+    order as twisted_sector runs them: shift hypotheses, Betti lookup,
+    orbit-class count.  untwisted is the Betti series of the moduli itself
+    (the quotient's ordinary cohomology agrees with it), added at shift 0;
+    None leaves that row out.
     """
-    table = chen_ruan_twisted_part(spec, provider, chamber)
+    r, g = spec.rank, spec.genus
+    sectors = []
+    for m, eta in _nontrivial_orders(r, g):
+        histogram = shift_histogram(spec, eta)  # checks the shift hypotheses
+        series = _sector_series(spec, m, provider, chamber)
+        _check_class_count(spec, eta, sum(histogram.values()))
+        sectors.append((series, histogram, count_elements_of_order(r, g, m)))
     if untwisted is not None:
-        table = table.add(untwisted.shifted(Fraction(0)))
-    return table
+        sectors.append((untwisted, {0: 1}, 1))
+    return _shifted_sum(r, sectors)
 
 
 class _EulerCertificateRow(NamedTuple):

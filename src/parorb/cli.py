@@ -6,7 +6,7 @@ Every number in a report names the operation that produced it, reports are
 byte-identical across runs on identical inputs (json mode), and large
 enumerations are refused before any section runs rather than truncated.
 Exit codes: 0 success, 1 internal/oracle failure, 2 parse error, 3 capability
-missing, 4 table missing, 5 guardrail exceeded.
+missing or Higgs mode, 4 table missing, 5 guardrail exceeded.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class RunConfig:
 def _exit_code_for(exc: ParorbError) -> int:
     if isinstance(exc, (ParseError, SpecError)):
         return 2
-    if isinstance(exc, CapabilityMissing):
+    if isinstance(exc, (CapabilityMissing, ModeMismatch)):
         return 3
     if isinstance(exc, TableMissing):
         return 4

@@ -173,12 +173,23 @@ def _spec_from_mapping(raw: Mapping[str, Any]) -> ModuliSpec:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key given twice is a ValueError, where
+    json.load would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated key %r" % (key,))
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str, what: str) -> Any:
-    """Decode a JSON file; an unreadable file, bad JSON or an undecodable
-    value is a ParseError."""
+    """Decode a JSON file; an unreadable file, bad JSON, a repeated key or an
+    undecodable value is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError("cannot read %s file %s: %s" % (what, path, exc)) from None
     except json.JSONDecodeError as exc:
@@ -186,7 +197,7 @@ def _read_json(path: str, what: str) -> Any:
             "malformed JSON in %s at line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from None
-    except ValueError as exc:  # non-UTF-8 bytes, or an int past str's digit limit
+    except ValueError as exc:  # bad UTF-8, an int past the digit limit, a repeated key
         raise ParseError("cannot decode %s file %s: %s" % (what, path, exc)) from None
 
 

@@ -302,6 +302,28 @@ def test_sector_grades_live_between_zero_and_twice_dimension():
     assert all(0 < x < top for x, _ in table.entries)
 
 
+def test_chen_ruan_table_builds_one_table(monkeypatch):
+    six = tuple(Fraction(i, 7) for i in range(1, 7))
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=(six,))
+    provider = BettiProvider(
+        [
+            BettiTable.from_mapping(table_doc(3, 3, 2, "c", [1, 0, 1])),
+            BettiTable.from_mapping(table_doc(4, 2, 3, "c", [1, 1])),
+        ]
+    )
+    built = []
+    post_init = RationalGradedDimension.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RationalGradedDimension, "__post_init__", counted)
+    table = chen_ruan_table(spec, provider, series(1, 0, 2, 0, 1))
+    # every order's sector and the untwisted row are summed into one table
+    assert built == [table]
+
+
 # --- sectors from shift histograms ------------------------------------------
 
 def uneven_spec(rng, g, r, s, degree=1):
@@ -349,6 +371,7 @@ def test_shift_histogram_equals_twisted_sector_shifts(g, r, s):
 
 def test_twisted_part_equals_census_weighted_sectors():
     rng = random.Random(20261018)
+    rows = random.Random(20261019)  # the untwisted rows, apart from the specs
     for _ in range(16):
         r = rng.choice((2, 3, 5, 6, 6, 7))
         s = rng.randint(1, {2: 4, 3: 3, 5: 2, 6: 1, 7: 1}[r])
@@ -373,6 +396,12 @@ def test_twisted_part_equals_census_weighted_sectors():
                 sector.sector_graded.scale(count_elements_of_order(r, g, m))
             )
         assert chen_ruan_twisted_part(spec, provider) == expected, spec
+        untwisted = PoincareSeries.from_list(
+            [rows.randint(0, 5) for _ in range(2 * moduli_dimension(spec) + 1)]
+        )
+        assert chen_ruan_table(spec, provider, untwisted) == expected.add(
+            untwisted.shifted(Fraction(0))
+        ), spec
 
 
 def test_euler_certificate_rows_all_vanish():

@@ -247,6 +247,48 @@ def test_capability_missing_comes_before_table_missing(tmp_path):
     assert "coprime" in error["message"]
 
 
+@pytest.mark.parametrize("emit", ["shifts", "cr_table"])
+def test_higgs_mode_exits_3(tmp_path, capsys, emit):
+    spec = write_json(tmp_path / "higgs.json", dict(SPEC_G2R3, higgs=True))
+    assert cli.main(["--spec", spec, "--emit", emit]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ModeMismatch"
+    assert error["message"] == "multiplicity formulas hold in the non-Higgs mode only"
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--provider"])
+def test_repeated_json_key_exits_2_naming_file_and_key(
+    tmp_path, capsys, spec_g2r3, flag
+):
+    if flag == "--spec":
+        # json.load alone would run this as rank 5
+        text = (
+            '{"genus": 2, "rank": 3, "degree": 1, "rank": 5, '
+            '"weights": [["1/6", "1/3", "1/2", "2/3", "5/6"]]}'
+        )
+        what, key = "spec", "rank"
+    else:
+        text = (
+            '[{"genus": 2, "rank": 3, "points": 1, "chamber": "a", '
+            '"chamber": "b", "coefficients": [1, 0, 1]}]'
+        )
+        what, key = "Betti table", "chamber"
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text, encoding="utf-8")
+    # a second --spec replaces the first
+    argv = ["--spec", spec_g2r3, flag, str(bad), "--emit", "cr_table"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "cannot decode %s file %s: repeated key %r" % (
+        what, bad, key
+    )
+
+
 def test_table_missing_exits_4(tmp_path):
     six = {
         "genus": 2,
