@@ -73,10 +73,16 @@ def is_squarefree(n: int) -> bool:
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" (or bare integer) string into an exact Fraction.
 
-    Raises ParseError on anything that is not an exact rational literal.
+    Raises ParseError on anything that is not an exact rational literal,
+    including the spellings only Python reads: non-ASCII digits and "_".
     """
     if not isinstance(text, str):
         raise ParseError("rational must be a string like \"1/3\", got %r" % (text,))
+    if not text.isascii() or "_" in text:
+        raise ParseError(
+            "bad rational literal %r: non-ASCII characters and '_' are refused"
+            % (text,)
+        )
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -238,6 +238,11 @@ class BettiTable:
                 raise ValueError("%s must be an integer, got %r" % (key, value))
         if not isinstance(self.chamber, str):
             raise ValueError("chamber must be a string, got %r" % (self.chamber,))
+        if self.genus < 0 or self.points < 0:
+            raise ValueError(
+                "genus and points must be non-negative, got %d and %d"
+                % (self.genus, self.points)
+            )
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if not isinstance(self.series, PoincareSeries):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Any, Mapping
 
@@ -68,17 +69,13 @@ class ModuliSpec:
     def num_points(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def capabilities(self) -> CapabilityFlags:
-        try:
-            return self._capabilities  # type: ignore[attr-defined]
-        except AttributeError:
-            flags = CapabilityFlags(
-                coprime_rank_degree=gcd(self.rank, self.degree) == 1,
-                squarefree_rank=is_squarefree(self.rank),
-            )
-            object.__setattr__(self, "_capabilities", flags)
-            return flags
+        """Worked out on first use and kept: the spec's one memo."""
+        return CapabilityFlags(
+            coprime_rank_degree=gcd(self.rank, self.degree) == 1,
+            squarefree_rank=is_squarefree(self.rank),
+        )
 
 
 def validate_moduli_spec(raw: ModuliSpec | Mapping[str, Any]) -> ModuliSpec:

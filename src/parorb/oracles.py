@@ -14,7 +14,8 @@ something:
   point's partition is rotated once, not once per combination it joins;
 - the two per-partition identities, dominance pairing and dimension
   bookkeeping, share one enumerate_partitions stream but check separate
-  formulas; each C_t(i) is asked for once per partition.
+  formulas; the pairing reads each partition's dominance vector once, and
+  the dimension identity goes through total_codimension.
 
 They back the test suite and the CLI's --oracle mode.  Every limit lives
 here with its rule; the oracles keep themselves at desk scale with them, and
@@ -37,7 +38,7 @@ from .arith import divisors
 from .errors import GuardrailExceeded
 from .model import ModuliSpec, moduli_dimension
 from .partitions import count_partitions
-from .shifts import dominance_count, total_codimension, fixed_component_dimension
+from .shifts import fixed_component_dimension, total_codimension
 from .torsion import TorsionElement, count_elements_of_order, spectral_cover_data
 
 CENSUS_LIMIT = 10 ** 7
@@ -254,8 +255,8 @@ def check_partition_identities(
 ) -> tuple[dict, dict | None]:
     """Dominance pairing and dimension bookkeeping over one partition stream.
 
-    Pairing: C_t(i) + C_t(m-i) must equal s*m*l^2 for every t and i; the
-    m-1 counts of t are asked for once each and paired with their reverse.
+    Pairing: C_t(i) + C_t(m-i) must equal s*m*l^2 for every t and i, read
+    off t's dominance vector, taken once per partition.
     Dimension: moduli_dimension must equal fixed dim + codim for every t,
     with eta of order m; pass eta=None when its hypotheses fail, and that
     check is not run.  Each check stops at its first failure, and the
@@ -273,9 +274,9 @@ def check_partition_identities(
         fixed = fixed_component_dimension(spec, eta)
     for t in partitions:
         if pairing is None:
-            counts = [dominance_count(t, i) for i in range(1, m)]
-            for i, (a, b) in enumerate(zip(counts, reversed(counts)), 1):
-                if a + b != target:
+            v = t.dominance_vector()
+            for i in range(1, m):
+                if v[i] + v[m - i] != target:
                     pairing = {
                         "pass": False, "failing_partition": t.to_mapping(), "i": i
                     }

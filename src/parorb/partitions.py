@@ -11,11 +11,12 @@ only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen and compared, each partition's dominance vector is
 counted from its ranks, and a point's sorted weights (or, for the shifts
 rows, their strings) are attached only to the blocks of each yielded
-partition.  The least rotation is always the one that puts point 0's
-smallest weight (rank 0) into block 0, the only block starting with it.
-compute_orbit_section therefore builds exactly the partitions whose first
-block starts with rank 0, and orbit_canonical only has to find which block
-holds that weight.
+partition.  A PointPartition keeps its vector; a WeightPartition sums its
+points' vectors on every call and keeps no vector of its own.  The least
+rotation is always the one that puts point 0's smallest weight (rank 0)
+into block 0, the only block starting with it.  compute_orbit_section
+therefore builds exactly the partitions whose first block starts with rank
+0, and orbit_canonical only has to find which block holds that weight.
 
 Blocks are kept internally sorted, so comparisons and representatives are
 deterministic: partitions compare by (point index, block index, block
@@ -120,22 +121,12 @@ class WeightPartition:
         return len(self.per_point)
 
     def dominance_vector(self) -> tuple[int, ...]:
-        """Sum of the per-point dominance vectors; entry i is C_t(i)."""
-        try:
-            return self._dominance  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        vector = tuple(map(sum, zip(*[p.dominance_vector() for p in self.per_point])))
-        object.__setattr__(self, "_dominance", vector)
-        return vector
+        """Sum of the per-point dominance vectors; entry i is C_t(i).
 
-    @classmethod
-    def _enumerated(cls, per_point: tuple[PointPartition, ...]) -> WeightPartition:
-        """A partition from _partition_product: every point's partitions
-        come from one enumeration at one m, so they share a block shape."""
-        part = object.__new__(cls)
-        object.__setattr__(part, "per_point", per_point)
-        return part
+        Summed on every call: each point keeps its own vector, and a reader
+        that needs several entries asks once and indexes the tuple.
+        """
+        return tuple(map(sum, zip(*[p.dominance_vector() for p in self.per_point])))
 
     def to_mapping(self) -> list:
         """Fresh nested lists of weight strings, safe for the caller to mutate."""
@@ -260,7 +251,7 @@ def _partition_product(
     tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
     for head in _point_partitions(spec.weights[0], m, anchored):
         for tail in product(*tail_lists):
-            yield WeightPartition._enumerated((head,) + tail)
+            yield WeightPartition((head,) + tail)
 
 
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:

@@ -45,9 +45,9 @@ def dominance_count(t: WeightPartition, i: int) -> int:
 
     Sums over all points and all block positions j the number of pairs
     (a, b) with a in block j, b in block j+i (mod m), and a > b.  A lookup
-    into t.dominance_vector(): each point's vector holds C(i) for every i at
-    once and is computed a single time per PointPartition object, which
-    enumerations share across the partitions they yield.
+    into t.dominance_vector(), the sum of the points' vectors, each holding
+    C(i) for every i at once; a caller after several i reads the vector
+    once instead.
 
     >>> from fractions import Fraction as F
     >>> from .partitions import PointPartition
@@ -64,41 +64,22 @@ def dominance_count(t: WeightPartition, i: int) -> int:
     return counts[i]
 
 
-def _shift_refusal(spec: ModuliSpec) -> tuple | None:
-    """(error class, message) of the first spec-level shift hypothesis spec
-    fails, or None; kept on the spec object, as capabilities is."""
-    caps = spec.capabilities
-    if not caps.coprime_rank_degree:
-        refusal = (
-            CapabilityMissing,
-            "rank %d and degree %d are not coprime" % (spec.rank, spec.degree),
-        )
-    elif not caps.squarefree_rank:
-        refusal = (CapabilityMissing, "rank %d is not squarefree" % spec.rank)
-    elif spec.higgs:
-        refusal = (
-            ModeMismatch,
-            "multiplicity formulas hold in the non-Higgs mode only",
-        )
-    else:
-        refusal = None
-    object.__setattr__(spec, "_shift_refusal", refusal)
-    return refusal
-
-
 def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
     """Shared preconditions of the multiplicity/shift/dimension operations:
-    the spec's verdict (coprime rank and degree, squarefree rank, non-Higgs
-    mode), then eta's modulus and order, checked on every call.
+    the spec's capabilities (coprime rank and degree, squarefree rank) and
+    non-Higgs mode, then eta's modulus and order, checked on every call.
 
     Returns the order m of eta.
     """
-    try:
-        refusal = spec._shift_refusal  # type: ignore[attr-defined]
-    except AttributeError:
-        refusal = _shift_refusal(spec)
-    if refusal is not None:
-        raise refusal[0](refusal[1])
+    caps = spec.capabilities
+    if not caps.coprime_rank_degree:
+        raise CapabilityMissing(
+            "rank %d and degree %d are not coprime" % (spec.rank, spec.degree)
+        )
+    if not caps.squarefree_rank:
+        raise CapabilityMissing("rank %d is not squarefree" % spec.rank)
+    if spec.higgs:
+        raise ModeMismatch("multiplicity formulas hold in the non-Higgs mode only")
     m = _require_rank_modulus(eta, spec.rank)
     if m == 1:
         raise IdentityElement("the identity element has no twisted sector")
@@ -187,12 +168,14 @@ def eigenvalue_multiplicities(
     return _shift_memo(spec, m, t)[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeShift:
     """Rational grading offset of one fixed-component class.
 
     value = sum_i (i/m) * mult(i); twice the value has denominator dividing
     m.  The class label is (eta, lexicographically least rotation of t).
+    Slotted: a sweep keeps one per call, and a slotted instance holds its
+    three fields without a dict.
     """
 
     value: Fraction
@@ -216,16 +199,7 @@ def degree_shift(
     """
     m = _require_shift_hypotheses(spec, eta)
     _, _, _, value, representative = _shift_memo(spec, m, t)
-    # the fields set directly, past the frozen dataclass __init__; one by
-    # one, as __init__ does, since filling __dict__ would materialise a full
-    # dict per instance
-    shift = object.__new__(DegreeShift)
-    object.__setattr__(shift, "value", value)
-    object.__setattr__(shift, "eta", eta)
-    object.__setattr__(
-        shift, "orbit_representative", t if representative is None else representative
-    )
-    return shift
+    return DegreeShift(value, eta, t if representative is None else representative)
 
 
 def fixed_component_dimension(spec: ModuliSpec, eta: TorsionElement) -> int:

@@ -69,7 +69,9 @@ def test_parse_rational_accepts_fractions_and_integers():
     assert parse_rational("-7/2") == Fraction(-7, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "3.5.1", "1//2"])
+@pytest.mark.parametrize(
+    "bad", ["", "x", "1/0", "3.5.1", "1//2", "\u0661/\u0664", "1_0/20"]
+)
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)

@@ -425,7 +425,7 @@ def test_failing_guard_runs_no_section(tmp_path, capsys, monkeypatch):
 
     for name in (
         "_census_section", "_components_section", "_shifts_section",
-        "_product_rules_section", "_oracle_section", "compute_orbit_section",
+        "_product_rules_section", "_oracle_section",
     ):
         monkeypatch.setattr(cli, name, forbidden)
     argv = ["--spec", g5r6s2(tmp_path), "--emit", "shifts", "--oracle"]
@@ -909,6 +909,41 @@ def test_betti_file_with_floats_exits_2(tmp_path, spec_g2r3):
     error = json.loads(result.stderr)["error"]
     assert error["type"] == "ParseError"
     assert error["message"].startswith("bad Betti table entry: ")
+
+
+def test_betti_entry_with_negative_genus_or_points_exits_2(
+    tmp_path, capsys, spec_g2r3
+):
+    # no lookup could ever match such a table; it is refused as it loads
+    entry = {
+        "genus": -3, "rank": 3, "points": -1, "chamber": "c0",
+        "coefficients": [1, 0, 1],
+    }
+    provider = write_json(tmp_path / "tables.json", [entry])
+    argv = ["--spec", spec_g2r3, "--provider", provider, "--emit", "cr_table"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == (
+        "bad Betti table entry: genus and points must be non-negative, got -3 and -1"
+    )
+
+
+@pytest.mark.parametrize("weight", ["\u0661/\u0664", "1_0/20"])
+def test_python_only_rational_spellings_exit_2(tmp_path, capsys, weight):
+    # Fraction() reads Arabic-Indic digits and digit-group underscores; a
+    # spec file may not: they would be echoed back as "1/4" and "1/2"
+    doc = dict(SPEC_G3R2, weights=[[weight, "3/4"]])
+    assert cli.main(["--spec", write_json(tmp_path / "spec.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == (
+        "bad rational literal %r: non-ASCII characters and '_' are refused" % weight
+    )
 
 
 def _order(mapping):

@@ -34,6 +34,15 @@ def test_cli_imports_no_private_name_from_partitions():
     assert [(line, name) for line, name in names if name.startswith("_")] == []
 
 
+def test_oracles_reads_no_dominance_count_from_shifts():
+    # the pairing reads each partition's dominance vector itself; from the
+    # shifts layer it takes only the dimension identity's two sides
+    names = imported_names(PACKAGE / "oracles.py", "shifts")
+    assert sorted(name for _, name in names) == [
+        "fixed_component_dimension", "total_codimension"
+    ]
+
+
 def test_oracles_names_no_cli_section():
     tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
     named = [

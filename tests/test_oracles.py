@@ -20,6 +20,7 @@ from parorb.oracles import (
     check_partition_identities,
 )
 from parorb.partitions import (
+    WeightPartition,
     compute_orbit_section,
     count_partitions,
     enumerate_partitions,
@@ -186,12 +187,16 @@ def run_oracle_cli(tmp_path, capsys, spec):
 def test_broken_dominance_count_fails_pairing_only(monkeypatch, tmp_path, capsys):
     spec = spec_for(6, 1, genus=3)
     chosen = chosen_partition(spec)
-    real = oracles.dominance_count
+    real = WeightPartition.dominance_vector
 
-    def broken(t, i):
-        return real(t, i) + (1 if t == chosen and i == 2 else 0)
+    def broken(t):
+        # C(2) up and C(3) down by one: the codimension is unchanged
+        vector = real(t)
+        if t != chosen:
+            return vector
+        return vector[:2] + (vector[2] + 1, vector[3] - 1) + vector[4:]
 
-    monkeypatch.setattr(oracles, "dominance_count", broken)
+    monkeypatch.setattr(WeightPartition, "dominance_vector", broken)
     eta = canonical_element_of_order(6, 3, ORDER)
     pairing, dimension = check_partition_identities(
         spec, ORDER, eta, enumerate_partitions(spec, ORDER)
@@ -239,18 +244,39 @@ def test_broken_total_codimension_fails_dimension_only(
     assert checks["dimension_identity", 3]["pass"] is True
 
 
+def test_checker_reads_each_dominance_vector_at_most_twice(monkeypatch):
+    # once for the pairing, once inside total_codimension
+    spec = spec_for(6, 1, genus=3)
+    real = WeightPartition.dominance_vector
+    calls = []
+
+    def counted(t):
+        calls.append(1)
+        return real(t)
+
+    monkeypatch.setattr(WeightPartition, "dominance_vector", counted)
+    eta = canonical_element_of_order(6, 3, ORDER)
+    pairing, dimension = check_partition_identities(
+        spec, ORDER, eta, enumerate_partitions(spec, ORDER)
+    )
+    assert pairing["pass"] is True and dimension["pass"] is True
+    assert len(calls) <= 2 * count_partitions(6, ORDER, 1)
+
+
 def test_stream_stops_once_both_checks_fail(monkeypatch):
     spec = spec_for(6, 1, genus=3)
     chosen = chosen_partition(spec)
-    real_count, real_codim = oracles.dominance_count, oracles.total_codimension
-    monkeypatch.setattr(
-        oracles, "dominance_count",
-        lambda t, i: real_count(t, i) + (t == chosen),
-    )
-    monkeypatch.setattr(
-        oracles, "total_codimension",
-        lambda spec_, eta, t: real_codim(spec_, eta, t) + (t == chosen),
-    )
+    real = WeightPartition.dominance_vector
+
+    def broken(t):
+        # every C(i), i >= 1, up by one: pairing fails at i = 1, and the
+        # codimension, their sum plus a base, grows by m - 1
+        vector = real(t)
+        if t != chosen:
+            return vector
+        return vector[:1] + tuple(c + 1 for c in vector[1:])
+
+    monkeypatch.setattr(WeightPartition, "dominance_vector", broken)
     read = []
 
     def stream():

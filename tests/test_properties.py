@@ -19,7 +19,7 @@ from parorb.arith import divisors, format_rational
 from parorb.chenruan import BettiProvider, BettiTable, PoincareSeries, twisted_sector
 from parorb.cli import _shifts_section
 from parorb.model import ModuliSpec
-from parorb.oracles import PARTITION_LIMIT
+from parorb.oracles import PARTITION_LIMIT, check_partition_identities
 from parorb.partitions import (
     compute_orbit_section,
     count_partitions,
@@ -116,6 +116,21 @@ def test_dominance_pairing_on_every_partition(spec):
         for t in enumerate_partitions(spec, m):
             for i in range(1, m):
                 assert dominance_count(t, i) + dominance_count(t, m - i) == s * m * l * l
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_partition_identity_checker_passes_on_every_partition(spec):
+    s = spec.num_points
+    for m in divisors(spec.rank)[1:]:
+        count = count_partitions(spec.rank, m, s)
+        eta = canonical_element_of_order(spec.rank, spec.genus, m)
+        pairing, dimension = check_partition_identities(
+            spec, m, eta, enumerate_partitions(spec, m)
+        )
+        l = spec.rank // m
+        target = s * m * l * l
+        assert pairing == {"pass": True, "checked": count * (m - 1), "target": target}
+        assert dimension["pass"] is True and dimension["checked"] == count
 
 
 _ROW_RNG = random.Random(20221019)

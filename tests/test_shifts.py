@@ -297,6 +297,12 @@ def test_degree_shift_equals_the_dataclass_it_stands_for():
     assert degree_shift(EXAMPLE_SPEC, EXAMPLE_ETA, EXAMPLE_T).orbit_representative is EXAMPLE_T
 
 
+def test_degree_shift_holds_its_fields_without_a_dict():
+    # a sweep keeps one DegreeShift per call; slots keep each one small
+    shift = degree_shift(EXAMPLE_SPEC, EXAMPLE_ETA, EXAMPLE_T)
+    assert not hasattr(shift, "__dict__")
+
+
 def test_partition_shape_must_match():
     good = EXAMPLE_SPEC
     eta2 = TorsionElement(6, (3, 0, 0, 0))  # order 2
