@@ -71,10 +71,13 @@ def is_squarefree(n: int) -> bool:
 # --- exact rational serialization ------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" (or bare integer) string into an exact Fraction.
+    """Parse a "p/q" (or bare integer, or plain decimal) string into an exact
+    Fraction.
 
     Raises ParseError on anything that is not an exact rational literal,
-    including the spellings only Python reads: non-ASCII digits and "_".
+    including the spellings only Python reads: non-ASCII digits, "_" and an
+    exponent ("1e-5000" would be read as a Fraction whose denominator has
+    5,001 digits, built before any check could refuse it).
     """
     if not isinstance(text, str):
         raise ParseError("rational must be a string like \"1/3\", got %r" % (text,))
@@ -83,6 +86,8 @@ def parse_rational(text: str) -> Fraction:
             "bad rational literal %r: non-ASCII characters and '_' are refused"
             % (text,)
         )
+    if "e" in text or "E" in text:
+        raise ParseError("bad rational literal %r: exponents are refused" % (text,))
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -26,13 +26,12 @@ built in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import format_rational
-from .errors import ParseError, TableMissing
+from .errors import ParseError, TableMissing, _Frozen
 from .fixed_loci import IntersectionSupport, fixed_locus_components, intersection_support
 from .model import ModuliSpec, _read_json, moduli_dimension
 from .partitions import WeightPartition, compute_orbit_section
@@ -91,14 +90,13 @@ def _integer_degree(degree) -> int:
     return degree
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(_Frozen):
     """Finitely supported integer grading: degree -> dimension (> 0 kept)."""
 
-    coefficients: tuple[tuple[int, int], ...]
+    __match_args__ = ("coefficients",)
 
-    def __post_init__(self):
-        entries = _graded_entries(self.coefficients, "degrees", _integer_degree)
+    def __init__(self, coefficients: tuple[tuple[int, int], ...]):
+        entries = _graded_entries(coefficients, "degrees", _integer_degree)
         object.__setattr__(self, "coefficients", entries)
 
     @classmethod
@@ -159,16 +157,14 @@ class PoincareSeries:
         )
 
 
-@dataclass(frozen=True)
-class RationalGradedDimension:
+class RationalGradedDimension(_Frozen):
     """Finitely supported rational grading: grade -> dimension (> 0 kept)."""
 
-    entries: tuple[tuple[Fraction, int], ...]
+    __match_args__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", _graded_entries(self.entries, "grades", Fraction)
-        )
+    def __init__(self, entries: tuple[tuple[Fraction, int], ...]):
+        entries = _graded_entries(entries, "grades", Fraction)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def empty(cls) -> "RationalGradedDimension":
@@ -219,38 +215,37 @@ class RationalGradedDimension:
 _BETTI_KEYS = ("genus", "rank", "points", "chamber", "coefficients")
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Frozen):
     """One externally supplied Betti series for a parabolic moduli space."""
 
-    genus: int
-    rank: int
-    points: int
-    chamber: str
-    series: PoincareSeries
+    __match_args__ = ("genus", "rank", "points", "chamber", "series")
 
-    def __post_init__(self):
+    def __init__(
+        self, genus: int, rank: int, points: int, chamber: str, series: PoincareSeries
+    ):
         # the one type rule for both construction paths: a table keyed by
         # '2' or 2.0 would never match a lookup
-        for key in _BETTI_KEYS[:3]:
-            value = getattr(self, key)
+        for key, value in zip(_BETTI_KEYS, (genus, rank, points)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError("%s must be an integer, got %r" % (key, value))
-        if not isinstance(self.chamber, str):
-            raise ValueError("chamber must be a string, got %r" % (self.chamber,))
-        if self.genus < 0 or self.points < 0:
+        if not isinstance(chamber, str):
+            raise ValueError("chamber must be a string, got %r" % (chamber,))
+        if genus < 0 or points < 0:
             raise ValueError(
                 "genus and points must be non-negative, got %d and %d"
-                % (self.genus, self.points)
+                % (genus, points)
             )
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        if not isinstance(self.series, PoincareSeries):
-            raise ValueError(
-                "series must be a PoincareSeries, got %r" % (self.series,)
-            )
-        if not self.series.coefficients:
+        if not isinstance(series, PoincareSeries):
+            raise ValueError("series must be a PoincareSeries, got %r" % (series,))
+        if not series.coefficients:
             raise ValueError("series must be nonempty")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "chamber", chamber)
+        object.__setattr__(self, "series", series)
 
     @property
     def key(self) -> tuple[int, int, int, str]:
@@ -380,13 +375,20 @@ def small_rank_poincare(
     return _as_provider(provider).lookup(g_Y, l, points, chamber)
 
 
-@dataclass(frozen=True)
-class SectorReport:
+class SectorReport(_Frozen):
     """One twisted sector: per-orbit-class data plus the shifted total."""
 
-    eta: TorsionElement
-    per_orbit: tuple[tuple[WeightPartition, DegreeShift, PoincareSeries], ...]
-    sector_graded: RationalGradedDimension
+    __match_args__ = ("eta", "per_orbit", "sector_graded")
+
+    def __init__(
+        self,
+        eta: TorsionElement,
+        per_orbit: tuple[tuple[WeightPartition, DegreeShift, PoincareSeries], ...],
+        sector_graded: RationalGradedDimension,
+    ):
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "per_orbit", per_orbit)
+        object.__setattr__(self, "sector_graded", sector_graded)
 
     @property
     def orbit_class_count(self) -> int:

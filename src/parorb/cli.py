@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .arith import divisors
@@ -35,6 +34,7 @@ from .errors import (
     ParseError,
     SpecError,
     TableMissing,
+    _Frozen,
 )
 from .fixed_loci import fixed_locus_components, intersection_support
 from .model import ModuliSpec, load_spec, moduli_dimension, spec_to_mapping
@@ -58,28 +58,38 @@ from .torsion import TorsionElement, _nontrivial_orders, count_elements_of_order
 DEFAULT_OUTPUTS = ("census", "components", "euler", "product_rules")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    spec_path: str
-    provider_paths: tuple = ()
-    outputs: tuple = DEFAULT_OUTPUTS
-    format: str = "json"
-    oracle_mode: bool = False
+class RunConfig(_Frozen):
+    """One run: the spec file, Betti table files, the sections to emit in
+    order, the output format, and whether to append the oracle checks."""
 
-    def __post_init__(self):
-        if not self.outputs:
+    __match_args__ = ("spec_path", "provider_paths", "outputs", "format", "oracle_mode")
+
+    def __init__(
+        self,
+        spec_path: str,
+        provider_paths: tuple = (),
+        outputs: tuple = DEFAULT_OUTPUTS,
+        format: str = "json",
+        oracle_mode: bool = False,
+    ):
+        if not outputs:
             raise ParseError("at least one output must be requested")
-        unknown = [name for name in self.outputs if name not in ALL_OUTPUTS]
+        unknown = [name for name in outputs if name not in ALL_OUTPUTS]
         if unknown:
             raise ParseError(
                 "unknown output(s) %s; valid: %s"
                 % (", ".join(unknown), ", ".join(ALL_OUTPUTS))
             )
-        repeated = [name for name, n in Counter(self.outputs).items() if n > 1]
+        repeated = [name for name, n in Counter(outputs).items() if n > 1]
         if repeated:
             raise ParseError("repeated output(s) %s" % ", ".join(repeated))
-        if self.format not in ("json", "table"):
+        if format not in ("json", "table"):
             raise ParseError("format must be json or table")
+        object.__setattr__(self, "spec_path", spec_path)
+        object.__setattr__(self, "provider_paths", provider_paths)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "oracle_mode", oracle_mode)
 
 
 def _exit_code_for(exc: ParorbError) -> int:

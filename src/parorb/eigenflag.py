@@ -19,10 +19,9 @@ and tested instantiation is the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FlagNotFull, FlagNotPreserved, NotDiagonalizable
+from .errors import FlagNotFull, FlagNotPreserved, NotDiagonalizable, _Frozen
 
 Matrix = tuple
 
@@ -97,8 +96,7 @@ def _mat_mul(left, right):
 
 # === the operator and the construction ======================================
 
-@dataclass(frozen=True)
-class FlaggedOperator:
+class FlaggedOperator(_Frozen):
     """A square matrix together with a full flag given by spanning vectors.
 
     flag[j] is the vector extending V_j to V_{j+1}: V_j is the span of the
@@ -107,20 +105,13 @@ class FlaggedOperator:
     flag_compatible_eigenbasis, not at construction.
     """
 
-    matrix: Matrix
-    flag: tuple
+    __match_args__ = ("matrix", "flag")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "matrix",
-            tuple(tuple(_coerce_entry(x) for x in row) for row in self.matrix),
-        )
-        object.__setattr__(
-            self,
-            "flag",
-            tuple(tuple(_coerce_entry(x) for x in vec) for vec in self.flag),
-        )
+    def __init__(self, matrix: Matrix, flag: tuple):
+        matrix = tuple(tuple(_coerce_entry(x) for x in row) for row in matrix)
+        flag = tuple(tuple(_coerce_entry(x) for x in vec) for vec in flag)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "flag", flag)
 
     @property
     def dimension(self) -> int:

@@ -1,8 +1,57 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of its value
+classes.
 
 Everything raised on purpose derives from ParorbError so callers can catch
 one base class; the CLI maps the leaf classes onto process exit codes.
 """
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in constructor order in __match_args__ and
+    sets them in its own __init__ with object.__setattr__.  From those names
+    come repr, == (true only between instances of the exact same class),
+    hash (of the tuple of the fields, so a field holding a dict makes
+    instances unhashable) and pickling, which rebuilds through the
+    constructor.  Attributes other than the fields, such as a memo, stay out
+    of all four.  Assigning or deleting an attribute afterwards raises
+    dataclasses.FrozenInstanceError, imported only then: the package loads
+    neither dataclasses nor the inspect and ast modules behind it.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError("cannot delete field %r" % (name,))
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join(
+                "%s=%r" % (name, getattr(self, name)) for name in self.__match_args__
+            ),
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
 
 
 class ParorbError(Exception):

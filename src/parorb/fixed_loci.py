@@ -11,10 +11,9 @@ gcd(l, m) = 1), so the quotient has |P(alpha)| / m component classes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IdentityElement
+from .errors import IdentityElement, _Frozen
 from .model import ModuliSpec
 from .partitions import count_partitions
 from .torsion import (
@@ -25,8 +24,7 @@ from .torsion import (
 )
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(_Frozen):
     """Component counts of one fixed locus and of its quotient.
 
     gamma_classes and free_transitive_subgroup_order are None when the rank
@@ -34,22 +32,36 @@ class ComponentReport:
     report withholds those fields rather than guessing.
     """
 
-    eta_order: int
-    partition_count: int
-    components_per_partition: int
-    total_components: int
-    gamma_classes: Optional[int]
-    free_transitive_subgroup_order: Optional[int]
+    __match_args__ = (
+        "eta_order",
+        "partition_count",
+        "components_per_partition",
+        "total_components",
+        "gamma_classes",
+        "free_transitive_subgroup_order",
+    )
+
+    def __init__(
+        self,
+        eta_order: int,
+        partition_count: int,
+        components_per_partition: int,
+        total_components: int,
+        gamma_classes: Optional[int],
+        free_transitive_subgroup_order: Optional[int],
+    ):
+        object.__setattr__(self, "eta_order", eta_order)
+        object.__setattr__(self, "partition_count", partition_count)
+        object.__setattr__(self, "components_per_partition", components_per_partition)
+        object.__setattr__(self, "total_components", total_components)
+        object.__setattr__(self, "gamma_classes", gamma_classes)
+        object.__setattr__(
+            self, "free_transitive_subgroup_order", free_transitive_subgroup_order
+        )
 
     def to_mapping(self) -> dict:
-        return {
-            "eta_order": self.eta_order,
-            "partition_count": self.partition_count,
-            "components_per_partition": self.components_per_partition,
-            "total_components": self.total_components,
-            "gamma_classes": self.gamma_classes,
-            "free_transitive_subgroup_order": self.free_transitive_subgroup_order,
-        }
+        """Every field, keyed by its name, in order."""
+        return dict(zip(self.__match_args__, self._astuple()))
 
 
 def fixed_locus_components(spec: ModuliSpec, eta: TorsionElement) -> ComponentReport:

@@ -5,15 +5,15 @@ degree of the bundles, one strictly increasing tuple of parabolic weights in
 [0, 1) per marked point (full flags: exactly `rank` weights each), plus a
 Higgs-field toggle and a genericity attestation.
 
-Construction of the dataclass only normalizes (and refuses float weights);
-`validate_moduli_spec` is the gate that enforces the actual invariants and
-is idempotent.
+The constructor only normalizes: weights become Fractions, a string weight
+is read by the same parse_rational as a spec file's, and a float weight is
+refused.  `validate_moduli_spec` is the gate that enforces the actual
+invariants and is idempotent.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -26,44 +26,61 @@ from .errors import (
     WeightCountMismatch,
     WeightOutOfRange,
     WeightsNotStrictlyIncreasing,
+    _Frozen,
 )
 
 
-@dataclass(frozen=True)
-class CapabilityFlags:
+class CapabilityFlags(_Frozen):
     """What the numeric hypotheses of the heavier operations allow.
 
     coprime_rank_degree -- gcd(rank, degree) == 1
     squarefree_rank     -- rank is a product of distinct primes
     """
 
-    coprime_rank_degree: bool
-    squarefree_rank: bool
+    __match_args__ = ("coprime_rank_degree", "squarefree_rank")
+
+    def __init__(self, coprime_rank_degree: bool, squarefree_rank: bool):
+        object.__setattr__(self, "coprime_rank_degree", coprime_rank_degree)
+        object.__setattr__(self, "squarefree_rank", squarefree_rank)
 
 
-@dataclass(frozen=True)
-class ModuliSpec:
+class ModuliSpec(_Frozen):
     """One moduli problem: curve genus, bundle data, parabolic weights.
 
     weights[p] is the weight tuple at marked point p, strictly increasing
     inside [0, 1) once validated; its length equals `rank` (full flags).
     """
 
-    genus: int
-    rank: int
-    degree: int
-    weights: tuple[tuple[Fraction, ...], ...]
-    higgs: bool = False
-    assume_generic: bool = True
+    __match_args__ = ("genus", "rank", "degree", "weights", "higgs", "assume_generic")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        genus: int,
+        rank: int,
+        degree: int,
+        weights: tuple[tuple[Fraction, ...], ...],
+        higgs: bool = False,
+        assume_generic: bool = True,
+    ):
         # normalize nested sequences to tuples of Fractions so instances
         # hash and compare by value; no invariant is enforced here, but a
-        # float is refused rather than turned into its binary expansion
-        if any(isinstance(w, float) for point in self.weights for w in point):
+        # float is refused rather than turned into its binary expansion,
+        # and a string is read by the spec file's rule
+        if any(isinstance(w, float) for point in weights for w in point):
             raise ParseError("weights must be exact rationals, not floats")
-        frozen = tuple(tuple(Fraction(w) for w in point) for point in self.weights)
+        frozen = tuple(
+            tuple(
+                parse_rational(w) if isinstance(w, str) else Fraction(w)
+                for w in point
+            )
+            for point in weights
+        )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "weights", frozen)
+        object.__setattr__(self, "higgs", higgs)
+        object.__setattr__(self, "assume_generic", assume_generic)
 
     @property
     def num_points(self) -> int:

@@ -25,33 +25,48 @@ contents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .arith import _require_divisor, format_rational
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, _Frozen
 from .model import ModuliSpec
 
 
-@dataclass(frozen=True, order=True)
-class PointPartition:
+@total_ordering
+class PointPartition(_Frozen):
     """Ordered tuple of equal-size blocks covering one point's weights."""
 
-    blocks: tuple[tuple[Fraction, ...], ...]
+    __match_args__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(block)) for block in self.blocks)
-        )
-        if not self.blocks:
+    def __init__(self, blocks: tuple[tuple[Fraction, ...], ...]):
+        blocks = tuple(tuple(sorted(block)) for block in blocks)
+        if not blocks:
             raise ValueError("a point partition needs at least one block")
-        size = len(self.blocks[0])
-        if size == 0 or any(len(b) != size for b in self.blocks):
+        size = len(blocks[0])
+        if size == 0 or any(len(b) != size for b in blocks):
             raise ValueError("blocks must be nonempty and of equal size")
+        object.__setattr__(self, "blocks", blocks)
+
+    # == and hash by the base's rule, and < by the blocks, written out: every
+    # sort, min and dict lookup of partitions runs them, where the generic
+    # getattr loop costs several times as much per call; total_ordering
+    # derives <=, > and >= from < and ==
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks < other.blocks
+        return NotImplemented
 
     @property
     def m(self) -> int:
@@ -93,20 +108,35 @@ class PointPartition:
         return part
 
 
-@dataclass(frozen=True, order=True)
-class WeightPartition:
+@total_ordering
+class WeightPartition(_Frozen):
     """One PointPartition per marked point, all with the same block shape."""
 
-    per_point: tuple[PointPartition, ...]
+    __match_args__ = ("per_point",)
 
-    def __post_init__(self):
-        if not self.per_point:
+    def __init__(self, per_point: tuple[PointPartition, ...]):
+        if not per_point:
             raise ValueError("a weight partition needs at least one point")
-        first = self.per_point[0].blocks
+        first = per_point[0].blocks
         m, l = len(first), len(first[0])
-        for p in self.per_point:
+        for p in per_point:
             if len(p.blocks) != m or len(p.blocks[0]) != l:
                 raise ValueError("all points must share the same block shape")
+        object.__setattr__(self, "per_point", per_point)
+
+    # as for PointPartition: the hot comparisons read the one field directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.per_point == other.per_point
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.per_point,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.per_point < other.per_point
+        return NotImplemented
 
     @property
     def m(self) -> int:
@@ -309,8 +339,7 @@ def orbit_canonical(t: WeightPartition) -> tuple[WeightPartition, int]:
     return galois_rotate(t, j), (m - j) % m
 
 
-@dataclass(frozen=True)
-class OrbitSection:
+class OrbitSection(_Frozen):
     """One representative per rotation orbit, plus reverse lookup.
 
     representatives are the lexicographically least members of their orbits,
@@ -320,9 +349,14 @@ class OrbitSection:
     kept.
     """
 
-    m: int
-    partition_count: int
-    representatives: tuple[WeightPartition, ...]
+    __match_args__ = ("m", "partition_count", "representatives")
+
+    def __init__(
+        self, m: int, partition_count: int, representatives: tuple[WeightPartition, ...]
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "partition_count", partition_count)
+        object.__setattr__(self, "representatives", representatives)
 
     @cached_property
     def _rep_index(self) -> dict[WeightPartition, int]:

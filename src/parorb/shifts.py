@@ -21,7 +21,6 @@ full each block is, which builds no partition at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -33,6 +32,7 @@ from .errors import (
     IdentityElement,
     IndexOutOfRange,
     ModeMismatch,
+    _Frozen,
 )
 from .model import ModuliSpec, moduli_dimension
 from .partitions import WeightPartition, _labelled_partitions, _sorted_distinct
@@ -86,8 +86,7 @@ def _require_shift_hypotheses(spec: ModuliSpec, eta: TorsionElement) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class EigenvalueMultiplicityTable:
+class EigenvalueMultiplicityTable(_Frozen):
     """Multiplicities of the nontrivial eigenvalues on the tangent space.
 
     multiplicities[i] is the multiplicity of exp(2*pi*sqrt(-1)*i/m); the
@@ -95,9 +94,12 @@ class EigenvalueMultiplicityTable:
     it is dimension minus the sum of the others.
     """
 
-    m: int
-    multiplicities: dict[int, int]
-    dimension: int
+    __match_args__ = ("m", "multiplicities", "dimension")
+
+    def __init__(self, m: int, multiplicities: dict[int, int], dimension: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "dimension", dimension)
 
     @property
     def total_codimension(self) -> int:
@@ -168,19 +170,31 @@ def eigenvalue_multiplicities(
     return _shift_memo(spec, m, t)[2]
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeShift:
+# object.__setattr__ read once: degree_shift builds a DegreeShift per call,
+# and a module global is found faster than the builtin's attribute
+_set_field = object.__setattr__
+
+
+class DegreeShift(_Frozen):
     """Rational grading offset of one fixed-component class.
 
     value = sum_i (i/m) * mult(i); twice the value has denominator dividing
     m.  The class label is (eta, lexicographically least rotation of t).
-    Slotted: a sweep keeps one per call, and a slotted instance holds its
-    three fields without a dict.
+    Its fields are its __slots__: a sweep keeps one per call, and each
+    holds its three fields without a dict.
     """
 
-    value: Fraction
-    eta: TorsionElement
-    orbit_representative: WeightPartition
+    __slots__ = __match_args__ = ("value", "eta", "orbit_representative")
+
+    def __init__(
+        self,
+        value: Fraction,
+        eta: TorsionElement,
+        orbit_representative: WeightPartition,
+    ):
+        _set_field(self, "value", value)
+        _set_field(self, "eta", eta)
+        _set_field(self, "orbit_representative", orbit_representative)
 
 
 def degree_shift(

@@ -9,42 +9,49 @@ down from that cover, and decides equality of cyclic subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import _require_divisor, divisors, mobius
-from .errors import ModulusMismatch
+from .errors import ModulusMismatch, _Frozen
 
 
-@dataclass(frozen=True)
-class TorsionElement:
+class TorsionElement(_Frozen):
     """One element of (Z/modulus)^(2g); exponents stored reduced mod modulus."""
 
-    modulus: int
-    exponents: tuple[int, ...]
+    __match_args__ = ("modulus", "exponents")
 
-    def __post_init__(self):
+    def __init__(self, modulus: int, exponents: tuple[int, ...]):
         # exact ints only (bools too are refused): int() would truncate 2.7
         # and parse "3"
-        if type(self.modulus) is not int:
-            raise ValueError("modulus must be an int, got %r" % (self.modulus,))
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive, got %r" % (self.modulus,))
-        if len(self.exponents) == 0 or len(self.exponents) % 2:
+        if type(modulus) is not int:
+            raise ValueError("modulus must be an int, got %r" % (modulus,))
+        if modulus < 1:
+            raise ValueError("modulus must be positive, got %r" % (modulus,))
+        if len(exponents) == 0 or len(exponents) % 2:
             raise ValueError(
                 "exponent vector must have even positive length 2g, got %d"
-                % len(self.exponents)
+                % len(exponents)
             )
-        for e in self.exponents:
+        for e in exponents:
             if type(e) is not int:
                 raise ValueError("exponents must be ints, got %r" % (e,))
-        exponents = tuple(e % self.modulus for e in self.exponents)
+        exponents = tuple(e % modulus for e in exponents)
+        object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "exponents", exponents)
-        # the order is kept outside the dataclass fields, so ==, hash and
-        # repr still see only (modulus, exponents)
-        object.__setattr__(
-            self, "_order", self.modulus // gcd(self.modulus, *exponents)
-        )
+        # the order is not a field, so ==, hash and repr still see only
+        # (modulus, exponents)
+        object.__setattr__(self, "_order", modulus // gcd(modulus, *exponents))
+
+    # == and hash by the base's rule, written out: support rules and sweeps
+    # compare and hash elements in their inner loops, where the generic
+    # getattr loop costs several times as much per call
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.modulus, self.exponents) == (other.modulus, other.exponents)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus, self.exponents))
 
     @property
     def genus(self) -> int:
@@ -99,12 +106,14 @@ def count_elements_of_order(r: int, g: int, m: int) -> int:
     return sum(mobius(m // e) * e ** (2 * g) for e in divisors(m))
 
 
-@dataclass(frozen=True)
-class SpectralCoverData:
+class SpectralCoverData(_Frozen):
     """Genus of the degree-m cyclic étale cover and dimension of its Prym."""
 
-    cover_genus: int
-    prym_dimension: int
+    __match_args__ = ("cover_genus", "prym_dimension")
+
+    def __init__(self, cover_genus: int, prym_dimension: int):
+        object.__setattr__(self, "cover_genus", cover_genus)
+        object.__setattr__(self, "prym_dimension", prym_dimension)
 
 
 def spectral_cover_data(g: int, m: int) -> SpectralCoverData:
@@ -122,15 +131,17 @@ def spectral_cover_data(g: int, m: int) -> SpectralCoverData:
     )
 
 
-@dataclass(frozen=True)
-class DetTwist:
+class DetTwist(_Frozen):
     """Determinant correction from pushing a line bundle down a cyclic cover.
 
     eta_exponent == 0 means no twist; eta_exponent == k means the determinant
     gains the k-th multiple of the covering element.
     """
 
-    eta_exponent: int
+    __match_args__ = ("eta_exponent",)
+
+    def __init__(self, eta_exponent: int):
+        object.__setattr__(self, "eta_exponent", eta_exponent)
 
     @property
     def is_trivial(self) -> bool:

@@ -67,10 +67,16 @@ def test_parse_rational_accepts_fractions_and_integers():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("5") == Fraction(5)
     assert parse_rational("-7/2") == Fraction(-7, 2)
+    assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_rational("-0.125") == Fraction(-1, 8)
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "x", "1/0", "3.5.1", "1//2", "\u0661/\u0664", "1_0/20"]
+    "bad",
+    [
+        "", "x", "1/0", "3.5.1", "1//2", "\u0661/\u0664", "1_0/20",
+        "1e-5000", "1E-100000000", "2.5e-1", "1e3", "3/4E2",
+    ],
 )
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ParseError):

@@ -312,13 +312,13 @@ def test_chen_ruan_table_builds_one_table(monkeypatch):
         ]
     )
     built = []
-    post_init = RationalGradedDimension.__post_init__
+    init = RationalGradedDimension.__init__
 
-    def counted(self):
+    def counted(self, entries):
         built.append(self)
-        post_init(self)
+        init(self, entries)
 
-    monkeypatch.setattr(RationalGradedDimension, "__post_init__", counted)
+    monkeypatch.setattr(RationalGradedDimension, "__init__", counted)
     table = chen_ruan_table(spec, provider, series(1, 0, 2, 0, 1))
     # every order's sector and the untwisted row are summed into one table
     assert built == [table]

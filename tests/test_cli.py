@@ -931,19 +931,37 @@ def test_betti_entry_with_negative_genus_or_points_exits_2(
     )
 
 
-@pytest.mark.parametrize("weight", ["\u0661/\u0664", "1_0/20"])
+@pytest.mark.parametrize(
+    "weight", ["\u0661/\u0664", "1_0/20", "1e-5000", "1E-100000000", "2.5e-1"]
+)
 def test_python_only_rational_spellings_exit_2(tmp_path, capsys, weight):
-    # Fraction() reads Arabic-Indic digits and digit-group underscores; a
-    # spec file may not: they would be echoed back as "1/4" and "1/2"
+    # Fraction() reads Arabic-Indic digits, digit-group underscores and
+    # exponents; a spec file may not: the first two would be echoed back as
+    # "1/4" and "1/2", and "1e-5000" has a 5,001-digit denominator that the
+    # echo cannot print ("1E-100000000" would take minutes to build)
     doc = dict(SPEC_G3R2, weights=[[weight, "3/4"]])
     assert cli.main(["--spec", write_json(tmp_path / "spec.json", doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ParseError"
-    assert error["message"] == (
-        "bad rational literal %r: non-ASCII characters and '_' are refused" % weight
+    reason = (
+        "exponents are refused"
+        if "e" in weight.lower()
+        else "non-ASCII characters and '_' are refused"
     )
+    assert error["message"] == "bad rational literal %r: %s" % (weight, reason)
+
+
+def test_exponent_weight_in_the_census_run_exits_2(tmp_path, capsys):
+    # the spec echo of --emit census used to die on the 5,001-digit
+    # denominator with a ValueError traceback and exit 1
+    doc = {"genus": 2, "rank": 3, "degree": 1, "weights": [["0", "1/3", "1e-5000"]]}
+    path = write_json(tmp_path / "spec.json", doc)
+    assert cli.main(["--spec", path, "--emit", "census"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ParseError"
 
 
 def _order(mapping):

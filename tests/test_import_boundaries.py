@@ -5,10 +5,12 @@ The rows of the shifts section are built by shifts._orbit_classes; a CLI
 that imported a private helper of parorb.partitions could grow its own copy
 of the shift rule again.  cli._SECTIONS is the one map from a section to the
 rules that bound it; a rule in parorb.oracles that named a section could
-grow a second one.
+grow a second one.  And importing the package loads no dataclasses.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 from parorb.cli import ALL_OUTPUTS
@@ -51,3 +53,45 @@ def test_oracles_names_no_cli_section():
         if isinstance(node, ast.Constant) and node.value in ALL_OUTPUTS
     ]
     assert named == []
+
+
+def test_importing_parorb_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis, tokenize and more, which every
+    # CLI run would pay for at startup; FrozenInstanceError is imported only
+    # when an assignment is refused
+    probe = (
+        "import sys, parorb, parorb.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses_at_import_time():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # imports inside a function body run only when it is called
+        in_functions = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if id(node) in in_functions:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                (path.name, node.lineno)
+                for name in names
+                if name.split(".")[0] == "dataclasses"
+            ]
+    assert found == []

@@ -224,6 +224,30 @@ def test_weights_are_normalized_to_fraction_tuples():
     assert spec.weights[0][0] == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("weight", ["\u0661/\u0664", "1_0/20", "1e-5000"])
+def test_constructor_reads_string_weights_like_a_spec_file(tmp_path, weight):
+    # Fraction() would read all three; the constructor and a spec file both
+    # refuse them, with the same message
+    weights = [["1/4", weight, "3/4"]]
+    with pytest.raises(ParseError) as built:
+        validate_moduli_spec(make(genus=2, rank=3, weights=weights))
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps({"genus": 2, "rank": 3, "degree": 1, "weights": weights}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as loaded:
+        load_spec(str(path))
+    assert str(built.value) == str(loaded.value)
+    assert str(built.value).startswith("bad rational literal %r: " % weight)
+
+
+def test_constructor_keeps_fractions_integers_and_plain_decimals():
+    spec = make(genus=2, rank=3, weights=[[0, "0.5", Fraction(3, 4)]])
+    assert spec.weights == ((Fraction(0), Fraction(1, 2), Fraction(3, 4)),)
+    assert validate_moduli_spec(spec) == spec
+
+
 def test_float_weights_are_rejected():
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ParseError, match="floats"):

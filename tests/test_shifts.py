@@ -41,6 +41,7 @@ from parorb.shifts import (
     total_codimension,
 )
 from parorb.torsion import TorsionElement, canonical_element_of_order
+from value_classes import ARGS
 
 
 def twelfths(*numerators):
@@ -295,6 +296,20 @@ def test_degree_shift_equals_the_dataclass_it_stands_for():
         with pytest.raises(FrozenInstanceError):
             shift.value = Fraction(0)
     assert degree_shift(EXAMPLE_SPEC, EXAMPLE_ETA, EXAMPLE_T).orbit_representative is EXAMPLE_T
+
+
+@pytest.mark.parametrize("cls", list(ARGS), ids=lambda cls: cls.__name__)
+def test_value_classes_refuse_assignment_and_deletion(cls):
+    args, expected = ARGS[cls]
+    value = cls(*args)
+    for name in cls.__match_args__ + ("new_attribute",):
+        with pytest.raises(FrozenInstanceError) as refused:
+            setattr(value, name, None)
+        assert str(refused.value) == "cannot assign to field %r" % name
+        with pytest.raises(FrozenInstanceError) as refused:
+            delattr(value, name)
+        assert str(refused.value) == "cannot delete field %r" % name
+    assert repr(value) == expected
 
 
 def test_degree_shift_holds_its_fields_without_a_dict():

@@ -1,13 +1,17 @@
 """Torsion group elements: orders, census, covers, determinant twists."""
 
 import itertools
+import pickle
 import random
 from math import gcd
 
 import pytest
 
+from parorb import model
 from parorb.errors import IdentityElement, ModulusMismatch, NotADivisor
-from parorb.partitions import count_partitions
+from parorb.model import ModuliSpec
+from parorb.partitions import PointPartition, WeightPartition, count_partitions
+from parorb.shifts import DegreeShift
 from parorb.torsion import (
     DetTwist,
     TorsionElement,
@@ -19,6 +23,9 @@ from parorb.torsion import (
     pushforward_det_twist,
     spectral_cover_data,
 )
+from value_classes import ARGS, ORDERED, UNHASHABLE
+
+CLASSES = list(ARGS)
 
 
 def naive_order(modulus, exponents):
@@ -49,6 +56,81 @@ def test_stored_order_stays_out_of_value_semantics():
         "modulus": 6,
         "exponents": [2, 0, 0, 0],
     }
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_repr_is_the_dataclass_one(cls):
+    args, expected = ARGS[cls]
+    assert repr(cls(*args)) == expected
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_equality_and_hash_by_value_and_exact_class(cls):
+    args, _ = ARGS[cls]
+    a, b = cls(*args), cls(*args)
+    fields = tuple(getattr(a, name) for name in cls.__match_args__)
+    assert a == b and not a != b
+    assert cls(**dict(zip(cls.__match_args__, args))) == a  # keywords are fields
+    assert a != object() and a != fields
+    subclass = type("Sub" + cls.__name__, (cls,), {})
+    assert a != subclass(*args) and subclass(*args) != a
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(a)
+    else:
+        # the tuple of the fields, even of one, as a dataclass hashes
+        assert hash(a) == hash(b) == hash(fields)
+        assert {a: 1}[b] == 1
+    copied = pickle.loads(pickle.dumps(a))
+    assert type(copied) is cls and copied == a and repr(copied) == repr(a)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_only_partitions_are_ordered(cls):
+    args, _ = ARGS[cls]
+    a = cls(*args)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        if cls in ORDERED:
+            assert getattr(a, name)(object()) is NotImplemented
+            assert getattr(a, name)(cls(*args)) is (name in ("__le__", "__ge__"))
+        else:
+            assert getattr(a, name)(cls(*args)) is NotImplemented
+    if cls not in ORDERED:
+        with pytest.raises(TypeError):
+            a < cls(*args)
+
+
+def test_partitions_order_by_their_one_field():
+    (lo,), _ = ARGS[PointPartition]
+    small, large = PointPartition(lo), PointPartition(lo[::-1])  # one weight a block
+    assert small.blocks < large.blocks
+    assert small < large and small <= large and large > small and large >= small
+    assert not large < small and not large <= small
+    ws, wl = WeightPartition((small,)), WeightPartition((large,))
+    assert ws < wl and ws <= wl and wl > ws and wl >= ws and not wl <= ws
+    assert sorted([wl, ws]) == [ws, wl] and min(wl, ws) is ws
+    with pytest.raises(TypeError):
+        ws < small
+
+
+def test_capabilities_are_computed_once(monkeypatch):
+    calls = []
+    squarefree = model.is_squarefree
+    monkeypatch.setattr(
+        model, "is_squarefree", lambda n: calls.append(n) or squarefree(n)
+    )
+    spec = ModuliSpec(*ARGS[ModuliSpec][0])
+    flags = spec.capabilities
+    assert spec.capabilities is flags and spec.capabilities is flags
+    assert calls == [3]
+    # the memo stays out of ==, hash and repr
+    assert spec == ModuliSpec(*ARGS[ModuliSpec][0])
+    assert repr(spec) == ARGS[ModuliSpec][1]
+
+
+def test_degree_shift_alone_has_no_dict():
+    for cls, (args, _) in ARGS.items():
+        assert hasattr(cls(*args), "__dict__") is (cls is not DegreeShift), cls
 
 
 def test_exponents_are_reduced_modulo_r():
