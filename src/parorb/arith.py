@@ -95,6 +95,24 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def exact_number(value, what: str):
+    """The one rule for a number handed to a library entry point.
+
+    A str is read by parse_rational, so a refused spelling is the same
+    ParseError everywhere; a float or a bool is a ValueError, where
+    Fraction() would quietly take both; anything else, an int, a Fraction
+    or an element of another exact field, is returned as it is.  what
+    names the values in the ValueError ("grades", "entries").
+    """
+    if isinstance(value, (bool, float)):
+        raise ValueError(
+            "%s must be exact rationals, not %ss" % (what, type(value).__name__)
+        )
+    if isinstance(value, str):
+        return parse_rational(value)
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as the canonical "p/q" string (q always printed)."""
     if not isinstance(value, Fraction):

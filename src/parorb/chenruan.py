@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Optional
 
-from .arith import format_rational
+from .arith import exact_number, format_rational
 from .errors import ParseError, TableMissing, _Frozen
 from .fixed_loci import IntersectionSupport, fixed_locus_components, intersection_support
 from .model import ModuliSpec, _read_json, moduli_dimension
@@ -52,25 +52,14 @@ from .torsion import (
 
 # === graded carriers ========================================================
 
-def _exact(value, what: str = "grades"):
-    """value itself; a float or a bool is a ValueError, where Fraction and
-    int() would quietly take both."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(
-            "%s must be exact rationals, not %ss" % (what, type(value).__name__)
-        )
-    return value
-
-
-def _graded_entries(pairs, what: str, convert=None) -> tuple:
-    """(grade, dim) pairs, each grade passed through convert if given, merged
-    by grade with zero dims dropped, sorted; negatives, float or bool grades
-    and dims that are not ints are a ValueError."""
+def _graded_entries(pairs, what: str, convert) -> tuple:
+    """(grade, dim) pairs, each grade passed through convert(grade, what),
+    which refuses what is not a grade, merged by grade with zero dims
+    dropped, sorted; negative grades and dims that are not non-negative
+    ints are a ValueError."""
     cleaned: dict = {}
     for grade, dim in pairs:
-        grade = _exact(grade, what)
-        if convert is not None:
-            grade = convert(grade)
+        grade = convert(grade, what)
         if grade < 0:
             raise ValueError("%s must be non-negative, got %s" % (what, grade))
         if not isinstance(dim, int) or isinstance(dim, bool):
@@ -82,12 +71,21 @@ def _graded_entries(pairs, what: str, convert=None) -> tuple:
     return tuple(sorted(cleaned.items()))
 
 
-def _integer_degree(degree) -> int:
-    """degree itself; anything but an int (Fraction(2) and "2" too) is a
-    ValueError, since to_list and euler_characteristic index by degree."""
-    if not isinstance(degree, int):
-        raise ValueError("degrees must be integers, got %r" % (degree,))
-    return degree
+def _grade(value, what: str = "grades") -> Fraction:
+    """value as a Fraction, by the exact-number rule."""
+    return Fraction(exact_number(value, what))
+
+
+def _integer_degree(degree, what: str) -> int:
+    """degree itself, when it is an int.  A float or a bool is refused by
+    the exact-number rule; anything else (Fraction(2), and "2", which is
+    not read as a number) is a ValueError too, since to_list and
+    euler_characteristic index by degree."""
+    if isinstance(degree, int) and not isinstance(degree, bool):
+        return degree
+    if not isinstance(degree, str):
+        exact_number(degree, what)
+    raise ValueError("degrees must be integers, got %r" % (degree,))
 
 
 class PoincareSeries(_Frozen):
@@ -151,9 +149,9 @@ class PoincareSeries(_Frozen):
 
     def shifted(self, offset: Fraction) -> "RationalGradedDimension":
         """Move every degree up by an exact rational offset."""
-        offset = Fraction(_exact(offset, "offsets"))
+        offset = _grade(offset, "offsets")
         return RationalGradedDimension(
-            tuple((Fraction(k) + offset, d) for k, d in self.coefficients)
+            tuple((offset + k, d) for k, d in self.coefficients)
         )
 
 
@@ -163,7 +161,7 @@ class RationalGradedDimension(_Frozen):
     __match_args__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[Fraction, int], ...]):
-        entries = _graded_entries(entries, "grades", Fraction)
+        entries = _graded_entries(entries, "grades", _grade)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -171,7 +169,7 @@ class RationalGradedDimension(_Frozen):
         return cls(())
 
     def dimension_at(self, grade) -> int:
-        grade = Fraction(_exact(grade))
+        grade = _grade(grade)
         for x, d in self.entries:
             if x == grade:
                 return d
@@ -200,7 +198,7 @@ class RationalGradedDimension(_Frozen):
         )
 
     def symmetric_about(self, center: Fraction) -> bool:
-        center = Fraction(_exact(center, "centers"))
+        center = _grade(center, "centers")
         dims = dict(self.entries)
         return all(dims.get(2 * center - x, 0) == d for x, d in self.entries)
 
@@ -588,14 +586,13 @@ def pairing_support(
     (a + b) % r == 0 at every position, so the identity pairs with itself.
     A grade outside [0, 2 * moduli_dimension] is also forced zero: one side
     of the pairing is an empty graded piece.  An int or Fraction grade is
-    compared as it is, a "p/q" string is parsed, and a float or bool is a
+    compared as it is, a string is read by parse_rational (ParseError on a
+    spelling a spec file may not use), and a float or bool is a
     ValueError.  Raises ModulusMismatch when eta and tau lie in different
     groups (different moduli or different genera).
     """
     _require_same_group(eta, tau)
-    grade = _exact(n)
-    if not isinstance(grade, (int, Fraction)):
-        grade = Fraction(grade)
+    grade = exact_number(n, "grades")
     if grade < 0 or grade > 2 * moduli_dimension(spec):
         return PairingSupport.FORCED_ZERO
     r = eta.modulus

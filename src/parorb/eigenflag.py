@@ -13,14 +13,16 @@ outside V_{j-1}.
 
 All arithmetic is exact.  Entries may be any exact field type supporting
 +, -, *, /, ==, and a total order, mixed with the ints 0 and 1; ints and
-rational strings are coerced to Fraction, floats are rejected.  The shipped
-and tested instantiation is the rationals.
+rational strings are coerced to Fraction, a string by the spec files'
+parse_rational, and floats and bools are rejected.  The shipped and tested
+instantiation is the rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import exact_number
 from .errors import FlagNotFull, FlagNotPreserved, NotDiagonalizable, _Frozen
 
 Matrix = tuple
@@ -29,11 +31,10 @@ Matrix = tuple
 # === exact row-reduction toolkit ===========================================
 
 def _coerce_entry(x):
-    if isinstance(x, float):
-        raise ValueError("floating-point entries are not exact: %r" % (x,))
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    return x
+    """x by the exact-number rule, with an int made a Fraction so that
+    division stays exact."""
+    x = exact_number(x, "entries")
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def _row_reduce(rows):

@@ -6,9 +6,9 @@ degree of the bundles, one strictly increasing tuple of parabolic weights in
 Higgs-field toggle and a genericity attestation.
 
 The constructor only normalizes: weights become Fractions, a string weight
-is read by the same parse_rational as a spec file's, and a float weight is
-refused.  `validate_moduli_spec` is the gate that enforces the actual
-invariants and is idempotent.
+is read by the same parse_rational as a spec file's, and a float or bool
+weight is refused.  `validate_moduli_spec` is the gate that enforces the
+actual invariants and is idempotent.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd
 from typing import Any, Mapping
 
-from .arith import format_rational, is_squarefree, parse_rational
+from .arith import exact_number, format_rational, is_squarefree, parse_rational
 from .errors import (
     GenusTooSmall,
     ParseError,
@@ -63,18 +63,17 @@ class ModuliSpec(_Frozen):
         assume_generic: bool = True,
     ):
         # normalize nested sequences to tuples of Fractions so instances
-        # hash and compare by value; no invariant is enforced here, but a
-        # float is refused rather than turned into its binary expansion,
-        # and a string is read by the spec file's rule
-        if any(isinstance(w, float) for point in weights for w in point):
-            raise ParseError("weights must be exact rationals, not floats")
-        frozen = tuple(
-            tuple(
-                parse_rational(w) if isinstance(w, str) else Fraction(w)
-                for w in point
+        # hash and compare by value; no invariant is enforced here, but the
+        # exact-number rule refuses a float, rather than turn it into its
+        # binary expansion, and a bool, and reads a string by the spec
+        # file's rule; its ValueError is a ParseError here, as in a file
+        try:
+            frozen = tuple(
+                tuple(Fraction(exact_number(w, "weights")) for w in point)
+                for point in weights
             )
-            for point in weights
-        )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)

@@ -10,8 +10,11 @@ something:
   half of g coordinates are ANDed once, and every element is one pair of
   halves;
 - partitions come from de-duplicated permutations instead of recursive
-  combinations, and rotate by list slicing instead of index tables; each
-  point's partition is rotated once, not once per combination it joins;
+  combinations, and rotate by list slicing instead of index arithmetic;
+  each point's partition is rotated once, not once per combination it
+  joins, and its rotations are written as their places in the point's
+  sorted list of partitions, so a combination's rotations are tuples of
+  small ints;
 - the two per-partition identities, dominance pairing and dimension
   bookkeeping, share one enumerate_partitions stream but check separate
   formulas; the pairing reads each partition's dominance vector once, and
@@ -214,29 +217,30 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
 
     Returns {"count", "orbit_count", "orbits_all_size_m"}; rotation is done
     by list slicing (blocks[i:] + blocks[:i] applied at every point), an
-    independent expression of the same action.  Each partition of a later
-    point is rotated once, and the list is shared by every combination;
-    point 0's partitions are rotated one at a time as the walk reaches
-    them.  A combination's m rotations are then the zip of its points'.
+    independent expression of the same action.  Each partition of each
+    point is rotated once, before the walk, and its m rotations are kept
+    as their indices in the point's sorted list of partitions.  A
+    combination's m rotations are then the zip of its points' index
+    tuples, and as the indices follow the sorted order, the least of those
+    is the least rotation.
     """
     _enforce_partition_limit(spec, m)
     # relabel each point's weights by their sorted positions: partitions of
     # labels and of weights correspond one-to-one, and small-int hashing
     # keeps the exhaustive sweep affordable
-    relabeled = [tuple(range(len(point))) for point in spec.weights]
-    per_point = [
-        sorted(brute_force_point_partitions(point, m)) for point in relabeled
-    ]
-
-    def rotated(blocks):
-        return tuple(blocks[i:] + blocks[:i] for i in range(m))
-
-    tails = [list(map(rotated, point)) for point in per_point[1:]]
+    rotations_by_point = []
+    for point in spec.weights:
+        ordered = sorted(brute_force_point_partitions(range(len(point)), m))
+        index = {blocks: k for k, blocks in enumerate(ordered)}
+        rotations_by_point.append([
+            tuple(index[blocks[i:] + blocks[:i]] for i in range(m))
+            for blocks in ordered
+        ])
+    heads, *tails = rotations_by_point
     count = 0
     seen_orbit_min = set()
     orbits_all_size_m = True
-    for head in per_point[0]:
-        head_rotations = rotated(head)
+    for head_rotations in heads:
         for tail in product(*tails):
             count += 1
             rotations = set(zip(head_rotations, *tail))

@@ -11,8 +11,10 @@ only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen and compared, each partition's dominance vector is
 counted from its ranks, and a point's sorted weights (or, for the shifts
 rows, their strings) are attached only to the blocks of each yielded
-partition.  A PointPartition keeps its vector; a WeightPartition sums its
-points' vectors on every call and keeps no vector of its own.  The least
+partition.  A PointPartition keeps its vector, and a WeightPartition keeps
+the sum of its points' vectors, set once where it is built: an enumeration
+adds each point's vector to a running sum as the product advances, one add
+per partition, and a rotation carries its source's vector over.  The least
 rotation is always the one that puts point 0's smallest weight (rank 0)
 into block 0, the only block starting with it.  compute_orbit_section
 therefore builds exactly the partitions whose first block starts with rank
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .arith import _require_divisor, format_rational
@@ -100,8 +103,8 @@ class PointPartition(_Frozen):
     def _enumerated(
         cls, blocks: tuple[tuple[Fraction, ...], ...], dominance: tuple[int, ...]
     ) -> PointPartition:
-        """A partition from _point_partitions: blocks already sorted and of
-        equal size, and its dominance vector counted from the ranks."""
+        """A partition from _point_partitions or galois_rotate: blocks
+        already sorted and of equal size, and its dominance vector known."""
         part = object.__new__(cls)
         object.__setattr__(part, "blocks", blocks)
         object.__setattr__(part, "_dominance", dominance)
@@ -123,6 +126,24 @@ class WeightPartition(_Frozen):
             if len(p.blocks) != m or len(p.blocks[0]) != l:
                 raise ValueError("all points must share the same block shape")
         object.__setattr__(self, "per_point", per_point)
+        # like TorsionElement._order, outside ==, hash, repr and pickling: an
+        # unpickled partition comes back through here and sums again
+        if len(per_point) == 1:
+            vector = per_point[0].dominance_vector()
+        else:
+            vector = tuple(map(sum, zip(*[p.dominance_vector() for p in per_point])))
+        object.__setattr__(self, "_dominance", vector)
+
+    @classmethod
+    def _enumerated(
+        cls, per_point: tuple[PointPartition, ...], dominance: tuple[int, ...]
+    ) -> WeightPartition:
+        """A partition from _partition_product or galois_rotate: points of
+        one shape, and the sum of their dominance vectors already known."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "per_point", per_point)
+        object.__setattr__(part, "_dominance", dominance)
+        return part
 
     # as for PointPartition: the hot comparisons read the one field directly
     def __eq__(self, other):
@@ -153,10 +174,9 @@ class WeightPartition(_Frozen):
     def dominance_vector(self) -> tuple[int, ...]:
         """Sum of the per-point dominance vectors; entry i is C_t(i).
 
-        Summed on every call: each point keeps its own vector, and a reader
-        that needs several entries asks once and indexes the tuple.
+        Summed once, when the partition is built, and returned as kept.
         """
-        return tuple(map(sum, zip(*[p.dominance_vector() for p in self.per_point])))
+        return self._dominance
 
     def to_mapping(self) -> list:
         """Fresh nested lists of weight strings, safe for the caller to mutate."""
@@ -272,16 +292,42 @@ def _point_partitions(
         yield PointPartition._enumerated(blocks, vector)
 
 
+def _summed_product(
+    lists: list[list[tuple[PointPartition, tuple[int, ...]]]],
+    points: tuple[PointPartition, ...],
+    vector: tuple[int, ...],
+) -> Iterator[WeightPartition]:
+    """points extended by one partition from each list of (partition, its
+    dominance vector), in product order, each with vector plus the added
+    vectors.  The sum is carried down the levels, so each partition built
+    costs one add, and an earlier level's add is shared by every partition
+    below it."""
+    first, rest = lists[0], lists[1:]
+    for p, p_vector in first:
+        summed = tuple(map(add, vector, p_vector))
+        if rest:
+            yield from _summed_product(rest, points + (p,), summed)
+        else:
+            yield WeightPartition._enumerated(points + (p,), summed)
+
+
 def _partition_product(
     spec: ModuliSpec, m: int, anchored: bool
 ) -> Iterator[WeightPartition]:
     """The product of the per-point partitions, ascending; point 0 streams,
-    anchored or not, and each later point's list is built once and shared."""
+    anchored or not, and each later point's list is built once and shared.
+    Each partition gets its dominance vector as it is built: point 0's own
+    when it is the only point, else the running sum of _summed_product."""
     _require_divisor(m, spec.rank)
-    tail_lists = [list(_point_partitions(point, m)) for point in spec.weights[1:]]
+    tail_lists = [
+        [(p, p.dominance_vector()) for p in _point_partitions(point, m)]
+        for point in spec.weights[1:]
+    ]
     for head in _point_partitions(spec.weights[0], m, anchored):
-        for tail in product(*tail_lists):
-            yield WeightPartition((head,) + tail)
+        if tail_lists:
+            yield from _summed_product(tail_lists, (head,), head.dominance_vector())
+        else:
+            yield WeightPartition._enumerated((head,), head.dominance_vector())
 
 
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
@@ -317,11 +363,17 @@ def galois_rotate(t: WeightPartition, i: int) -> WeightPartition:
     i %= m
     if i == 0:
         return t
-    return WeightPartition(
+    # a rotation keeps how many places apart each pair of blocks is, so
+    # every point's dominance vector, and their sum, carry over as they are
+    return WeightPartition._enumerated(
         tuple(
-            PointPartition(tuple(point.blocks[(j + i) % m] for j in range(m)))
+            PointPartition._enumerated(
+                tuple(point.blocks[(j + i) % m] for j in range(m)),
+                point.dominance_vector(),
+            )
             for point in t.per_point
-        )
+        ),
+        t.dominance_vector(),
     )
 
 

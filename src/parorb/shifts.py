@@ -45,9 +45,8 @@ def dominance_count(t: WeightPartition, i: int) -> int:
 
     Sums over all points and all block positions j the number of pairs
     (a, b) with a in block j, b in block j+i (mod m), and a > b.  A lookup
-    into t.dominance_vector(), the sum of the points' vectors, each holding
-    C(i) for every i at once; a caller after several i reads the vector
-    once instead.
+    into t.dominance_vector(), which holds C(i) for every i at once: the
+    sum of the points' vectors, taken once when t was built.
 
     >>> from fractions import Fraction as F
     >>> from .partitions import PointPartition
@@ -115,9 +114,9 @@ def _base_multiplicity(spec: ModuliSpec, m: int) -> int:
     return spec.rank * spec.rank * (spec.genus - 1) // m
 
 
-def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
-    """mult(1), ..., mult(m-1) of t, after checking t's shape against spec
-    and m; entry i-1 is r^2 (g-1)/m + C_t(i)."""
+def _require_shape(spec: ModuliSpec, m: int, t: WeightPartition) -> None:
+    """Raise ValueError unless t has m blocks per point, one point per
+    marked point of spec, and blocks of rank/m weights."""
     blocks = t.per_point[0].blocks
     if len(blocks) != m:
         raise ValueError(
@@ -126,6 +125,12 @@ def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
         )
     if len(t.per_point) != spec.num_points or len(blocks[0]) * m != spec.rank:
         raise ValueError("partition shape does not match the moduli description")
+
+
+def _multiplicities(spec: ModuliSpec, m: int, t: WeightPartition) -> list[int]:
+    """mult(1), ..., mult(m-1) of t, after checking t's shape against spec
+    and m; entry i-1 is r^2 (g-1)/m + C_t(i)."""
+    _require_shape(spec, m, t)
     base = _base_multiplicity(spec, m)
     return [base + c for c in t.dominance_vector()[1:]]
 
@@ -240,11 +245,15 @@ def total_codimension(
     """Codimension of the fixed component: sum of nontrivial multiplicities.
 
     Complements fixed_component_dimension to the full moduli dimension.
-    Sums the multiplicities eigenvalue_multiplicities tabulates, by the same
-    rule, without building the table, the shift or the moduli dimension;
-    the hypotheses and the partition's shape are checked on every call.
+    The multiplicities eigenvalue_multiplicities tabulates sum to
+    (m-1) r^2 (g-1)/m + sum_{i>=1} C_t(i), read off t's dominance vector
+    without building the table, the list of multiplicities, the shift or
+    the moduli dimension; the hypotheses and the partition's shape are
+    checked on every call.
     """
-    return sum(_multiplicities(spec, _require_shift_hypotheses(spec, eta), t))
+    m = _require_shift_hypotheses(spec, eta)
+    _require_shape(spec, m, t)
+    return (m - 1) * _base_multiplicity(spec, m) + sum(t.dominance_vector()[1:])
 
 
 def _orbit_classes(spec: ModuliSpec, eta: TorsionElement) -> Iterator[tuple]:

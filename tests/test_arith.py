@@ -1,5 +1,7 @@
-"""Number-theoretic helpers, checked against naive definitions."""
+"""Number-theoretic helpers, checked against naive definitions, and the
+one rule for reading a number from a string at every entry point."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,12 @@ from parorb.arith import (
     parse_rational,
     prime_factors,
 )
+from parorb.chenruan import PoincareSeries, RationalGradedDimension, pairing_support
+from parorb.cli import main
+from parorb.eigenflag import FlaggedOperator
 from parorb.errors import ParseError
+from parorb.model import ModuliSpec
+from parorb.torsion import TorsionElement
 
 
 def naive_divisors(n):
@@ -71,16 +78,57 @@ def test_parse_rational_accepts_fractions_and_integers():
     assert parse_rational("-0.125") == Fraction(-1, 8)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "", "x", "1/0", "3.5.1", "1//2", "\u0661/\u0664", "1_0/20",
-        "1e-5000", "1E-100000000", "2.5e-1", "1e3", "3/4E2",
-    ],
-)
+REFUSED = [
+    "", "x", "1/0", "3.5.1", "1//2", "\u0661/\u0664", "1_0/20",
+    "1e-5000", "1E-100000000", "2.5e-1", "1e3", "3/4E2",
+]
+
+
+@pytest.mark.parametrize("bad", REFUSED)
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+_ETA = TorsionElement(3, (1, 0, 0, 0))
+_SPEC = ModuliSpec(genus=2, rank=3, degree=1, weights=(("1/4", "1/2", "3/4"),))
+
+# every public entry point that reads a number from a string
+ENTRY_POINTS = {
+    "ModuliSpec": lambda text: ModuliSpec(
+        genus=2, rank=3, degree=1, weights=(("1/4", text, "3/4"),)
+    ),
+    "FlaggedOperator": lambda text: FlaggedOperator(((text,),), ((1,),)),
+    "pairing_support": lambda text: pairing_support(text, _ETA, _ETA.scale(2), _SPEC),
+    "RationalGradedDimension": lambda text: RationalGradedDimension(((text, 1),)),
+    "dimension_at": lambda text: RationalGradedDimension.empty().dimension_at(text),
+    "symmetric_about": lambda text: RationalGradedDimension.empty().symmetric_about(text),
+    "shifted": lambda text: PoincareSeries(((0, 1),)).shifted(text),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", REFUSED)
+def test_entry_points_refuse_what_parse_rational_refuses(entry, bad):
+    with pytest.raises(ParseError) as parsed:
+        parse_rational(bad)
+    with pytest.raises(ParseError) as refused:
+        ENTRY_POINTS[entry](bad)
+    assert str(refused.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize("bad", REFUSED)
+def test_spec_file_refuses_what_parse_rational_refuses(tmp_path, capsys, bad):
+    with pytest.raises(ParseError) as parsed:
+        parse_rational(bad)
+    path = tmp_path / "spec.json"
+    doc = {"genus": 3, "rank": 2, "degree": 1, "weights": [[bad, "3/4"]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError" and error["message"] == str(parsed.value)
 
 
 def test_format_round_trips_parse():

@@ -5,7 +5,9 @@ The rows of the shifts section are built by shifts._orbit_classes; a CLI
 that imported a private helper of parorb.partitions could grow its own copy
 of the shift rule again.  cli._SECTIONS is the one map from a section to the
 rules that bound it; a rule in parorb.oracles that named a section could
-grow a second one.  And importing the package loads no dataclasses.
+grow a second one.  Importing the package loads no dataclasses.  And
+outside arith.py, Fraction() is called on a variable only where an int or
+a Fraction is all it can receive.
 """
 
 import ast
@@ -95,3 +97,41 @@ def test_no_module_imports_dataclasses_at_import_time():
                 if name.split(".")[0] == "dataclasses"
             ]
     assert found == []
+
+
+# Fraction() reads "1e-5000", non-ASCII digits, floats and bools; the one
+# rule for numbers from outside is arith.exact_number, through
+# parse_rational.  These calls take a variable, and each only ever receives
+# an int or a Fraction:
+FRACTION_CALLS = {
+    # the exact-number rule has read any string and refused floats and bools
+    ("chenruan.py", "Fraction(exact_number(value, what))"),
+    ("model.py", "Fraction(exact_number(w, 'weights'))"),
+    # an int that the exact-number rule passed through
+    ("eigenflag.py", "Fraction(x)"),
+    # int numerators over int denominators
+    ("chenruan.py", "Fraction(key, r)"),
+    ("shifts.py", "Fraction(sum((i * mult for i, mult in mults.items())), m)"),
+    ("shifts.py", "Fraction(shift_base + t, m)"),
+}
+
+
+def test_fraction_calls_outside_arith_take_only_ints_and_fractions():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and (
+                    node.keywords
+                    or not all(isinstance(arg, ast.Constant) for arg in node.args)
+                )
+            ):
+                found.add((path.name, ast.unparse(node)))
+    assert sorted(found - FRACTION_CALLS) == []
+    # and the list stays short: a site that is gone leaves it
+    assert sorted(FRACTION_CALLS - found) == []

@@ -20,6 +20,7 @@ from parorb.oracles import (
     check_partition_identities,
 )
 from parorb.partitions import (
+    PointPartition,
     WeightPartition,
     compute_orbit_section,
     count_partitions,
@@ -261,6 +262,32 @@ def test_checker_reads_each_dominance_vector_at_most_twice(monkeypatch):
     )
     assert pairing["pass"] is True and dimension["pass"] is True
     assert len(calls) <= 2 * count_partitions(6, ORDER, 1)
+
+
+def test_oracle_stream_sums_each_partition_at_most_once(tmp_path, capsys, monkeypatch):
+    # each partition's vector is summed as the stream builds it, from point
+    # vectors counted once per point partition: the pairing and the
+    # codimension both read the kept sum
+    real = PointPartition.dominance_vector
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return real(p)
+
+    monkeypatch.setattr(PointPartition, "dominance_vector", counted)
+    spec = spec_for(3, 3, genus=3)
+    streamed = 0
+    for m in divisors(3)[1:]:
+        del calls[:]
+        eta = canonical_element_of_order(3, 3, m)
+        check_partition_identities(spec, m, eta, enumerate_partitions(spec, m))
+        assert len(calls) <= count_partitions(3, m, 3)
+        streamed += count_partitions(3, m, 3)
+    del calls[:]
+    status, all_pass, _ = run_oracle_cli(tmp_path, capsys, spec)
+    assert status == 0 and all_pass is True
+    assert len(calls) <= streamed
 
 
 def test_stream_stops_once_both_checks_fail(monkeypatch):

@@ -1,6 +1,7 @@
 """Ordered equal-block weight partitions and the free rotation action."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -21,6 +22,9 @@ from parorb.partitions import (
     induced_weights,
     orbit_canonical,
 )
+from parorb.shifts import dominance_count
+
+from value_classes import ARGS
 
 
 def spec_for(r, s, genus=3, degree=1):
@@ -284,3 +288,70 @@ def test_to_mapping_returns_fresh_lists():
     assert t.to_mapping() == second
     assert u.to_mapping()[0] == second[0]
     assert second[0][0][0] == "1/5" and len(second[0]) == 2
+
+
+def recounted(t):
+    """C_t by the per-point rule, on fresh PointPartitions built from the
+    blocks, so that no vector set by an enumeration or a rotation is read."""
+    vectors = [PointPartition(p.blocks).dominance_vector() for p in t.per_point]
+    return tuple(map(sum, zip(*vectors)))
+
+
+def built_each_way(spec, m):
+    """(how, partition) for partitions made by every route there is."""
+    streamed = list(enumerate_partitions(spec, m))
+    sample = streamed[:: max(1, len(streamed) // 40)]
+    for t in sample:
+        yield "enumerate_partitions", t
+        yield "directly", WeightPartition(tuple(PointPartition(p.blocks) for p in t.per_point))
+        yield "pickle", pickle.loads(pickle.dumps(t))
+        for i in range(1, m):
+            yield "galois_rotate", galois_rotate(t, i)
+    for rep in compute_orbit_section(spec, m).representatives:
+        yield "compute_orbit_section", rep
+
+
+@pytest.mark.parametrize("r, m, s", [(4, 2, 1), (6, 3, 2), (3, 3, 3), (6, 6, 1)])
+def test_dominance_vector_is_the_per_point_sum_however_built(r, m, s):
+    spec = uneven_spec(r, s, seed=900 + 10 * r + s)
+    seen = set()
+    for how, t in built_each_way(spec, m):
+        seen.add(how)
+        assert t.dominance_vector() == recounted(t), how
+    assert len(seen) == 5
+
+
+def test_kept_vector_stays_out_of_equality_hash_repr_and_pickle():
+    spec = uneven_spec(6, 2, seed=62)
+    t = next(enumerate_partitions(spec, 3))
+    for other in (
+        WeightPartition(t.per_point),
+        galois_rotate(galois_rotate(t, 1), 2),
+        pickle.loads(pickle.dumps(t)),
+    ):
+        assert other == t and hash(other) == hash(t) and repr(other) == repr(t)
+    assert "_dominance" not in repr(t)
+    assert t.__reduce__() == (WeightPartition, (t.per_point,))
+    args, pinned = ARGS[WeightPartition]
+    assert repr(WeightPartition(*args)) == pinned
+
+
+def test_dominance_count_sums_the_points_at_most_once(monkeypatch):
+    # the vector is summed when t is built; dominance_count then indexes it
+    real = PointPartition.dominance_vector
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(PointPartition, "dominance_vector", counted)
+    spec = uneven_spec(6, 2, seed=26)
+    streamed = next(enumerate_partitions(spec, 6))
+    a, b = (PointPartition(p.blocks) for p in streamed.per_point)
+    for make in (lambda: streamed, lambda: WeightPartition((a, b))):
+        del calls[:]
+        t = make()
+        for i in range(1, 6):
+            dominance_count(t, i)
+        assert len(calls) <= 2

@@ -19,7 +19,11 @@ from parorb.arith import divisors, format_rational
 from parorb.chenruan import BettiProvider, BettiTable, PoincareSeries, twisted_sector
 from parorb.cli import _shifts_section
 from parorb.model import ModuliSpec
-from parorb.oracles import PARTITION_LIMIT, check_partition_identities
+from parorb.oracles import (
+    PARTITION_LIMIT,
+    brute_force_partition_census,
+    check_partition_identities,
+)
 from parorb.partitions import (
     compute_orbit_section,
     count_partitions,
@@ -131,6 +135,24 @@ def test_partition_identity_checker_passes_on_every_partition(spec):
         target = s * m * l * l
         assert pairing == {"pass": True, "checked": count * (m - 1), "target": target}
         assert dimension["pass"] is True and dimension["checked"] == count
+
+
+# the twenty specs have one or two points; two more have three
+CENSUS_SPECS = SPECS + [shaped_spec(random.Random(20221020), r, 3) for r in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "spec", CENSUS_SPECS, ids=IDS + [spec_id(spec) for spec in CENSUS_SPECS[20:]]
+)
+def test_partition_census_matches_the_closed_forms(spec):
+    # every divisor m, m = 1 and m = r included: the index-labelled rotations
+    # find the same orbits as the count formula and the free action predict
+    r, s = spec.rank, spec.num_points
+    for m in divisors(r):
+        count = count_partitions(r, m, s)
+        assert brute_force_partition_census(spec, m) == {
+            "count": count, "orbit_count": count // m, "orbits_all_size_m": True
+        }
 
 
 _ROW_RNG = random.Random(20221019)
