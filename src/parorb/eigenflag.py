@@ -1,4 +1,4 @@
-"""Flag-compatible eigenbases over an exact field.
+"""Flag-compatible eigenbases over the rationals.
 
 Given a diagonalizable operator that maps every step of a full flag into
 itself, there is a basis of eigenvectors v_1, ..., v_r with
@@ -11,16 +11,20 @@ U - U_jj·I, lifted by the flag vectors; the step takes the
 lexicographically least row of their reduced echelon basis that lies
 outside V_{j-1}.
 
-All arithmetic is exact.  Entries may be any exact field type supporting
-+, -, *, /, ==, and a total order, mixed with the ints 0 and 1; ints and
-rational strings are coerced to Fraction, a string by the spec files'
-parse_rational, and floats and bools are rejected.  The shipped and tested
-instantiation is the rationals.
+All arithmetic is exact.  Entries are exact rationals, reduced on integer
+rows: ints, Fractions and rational strings (read by the spec files'
+parse_rational) are stored as Fractions, and floats, bools and anything
+else are refused at construction.  Each row of the matrix and each flag
+vector is scaled to ints by the lcm of its denominators, every reduction
+runs fraction-free on ints, and Fractions are built only for the rows a
+step may choose, which are compared as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .arith import exact_number
 from .errors import FlagNotFull, FlagNotPreserved, NotDiagonalizable, _Frozen
@@ -28,71 +32,71 @@ from .errors import FlagNotFull, FlagNotPreserved, NotDiagonalizable, _Frozen
 Matrix = tuple
 
 
-# === exact row-reduction toolkit ===========================================
+# === integer row-reduction toolkit ==========================================
 
 def _coerce_entry(x):
-    """x by the exact-number rule, with an int made a Fraction so that
-    division stays exact."""
+    """x by the exact-number rule, as a Fraction; anything but an int or a
+    Fraction is refused."""
     x = exact_number(x, "entries")
-    return Fraction(x) if isinstance(x, int) else x
+    if isinstance(x, int):
+        return Fraction(x)
+    if not isinstance(x, Fraction):
+        raise ValueError(
+            "entries must be exact rationals, not %s" % type(x).__name__
+        )
+    return x
+
+
+def _integer_row(row):
+    """(row times the lcm of its denominators as ints, that lcm)."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def _row_reduce(rows):
-    """Reduced row echelon form: (nonzero rows, pivot column list).
+    """Reduced row echelon form on ints: (nonzero rows, pivot column list).
 
+    Fraction-free: a row is cleared as lead·row - factor·(pivot row) and
+    divided by its gcd, so every returned row is primitive with a positive
+    pivot and zeros in the other rows' pivot columns.  Each row divided by
+    its pivot is the reduced echelon form over the rationals.
     Deterministic: columns scanned left to right, first nonzero row used as
-    pivot, rows normalized to leading 1, eliminated above and below.
+    pivot.
     """
-    work = [list(row) for row in rows]
+    work = list(rows)
     if not work:
-        return (), ()
+        return [], []
     height, width = len(work), len(work[0])
     pivots = []
     rank = 0
     for col in range(width):
         pivot_row = None
         for i in range(rank, height):
-            if work[i][col] != 0:
+            if work[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        lead = work[rank][col]
-        work[rank] = [x / lead for x in work[rank]]
+        row = work[pivot_row]
+        work[pivot_row] = work[rank]
+        divisor = gcd(*row) if row[col] > 0 else -gcd(*row)
+        if divisor != 1:
+            row = [x // divisor for x in row]
+        work[rank] = row
+        lead = row[col]
         for i in range(height):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+            factor = work[i][col]
+            if factor and i != rank:
+                cleared = [lead * a - factor * b for a, b in zip(work[i], row)]
+                divisor = gcd(*cleared)
+                if divisor > 1:
+                    cleared = [x // divisor for x in cleared]
+                work[i] = cleared
         pivots.append(col)
         rank += 1
         if rank == height:
             break
-    return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
-
-
-def _nullspace(rows):
-    """Canonical basis of the right kernel, one vector per free column."""
-    rref_rows, pivots = _row_reduce(rows)
-    width = len(rows[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for row, col in zip(rref_rows, pivots):
-            vec[col] = -row[free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _mat_mul(left, right):
-    cols = tuple(zip(*right))
-    return tuple(
-        tuple(sum(a * x for a, x in zip(row, col)) for col in cols) for row in left
-    )
+    return work[:rank], pivots
 
 
 # === the operator and the construction ======================================
@@ -102,7 +106,7 @@ class FlaggedOperator(_Frozen):
 
     flag[j] is the vector extending V_j to V_{j+1}: V_j is the span of the
     first j flag vectors.  The matrix must map each V_j into itself and be
-    diagonalizable over the field; both are checked exactly by
+    diagonalizable over the rationals; both are checked exactly by
     flag_compatible_eigenbasis, not at construction.
     """
 
@@ -144,40 +148,64 @@ def flag_compatible_eigenbasis(op: FlaggedOperator):
             "need exactly %d flag vectors of length %d" % (r, r)
         )
 
-    # W has the flag vectors as columns; one reduction of [W | A·W | I]
-    # yields U = W⁻¹·A·W, the operator in flag coordinates, and W⁻¹
-    w = tuple(zip(*flag))
-    aw = _mat_mul(matrix, w)
-    reduced, pivots = _row_reduce(
-        [w[i] + aw[i] + tuple(int(i == k) for k in range(r)) for i in range(r)]
-    )
-    if pivots[:r] != tuple(range(r)):
+    # each flag vector scaled to ints spans the same flag, and changes U only
+    # by a diagonal similarity: the same diagonal, zeros and lifted kernels.
+    # W has them as columns; row i of [W | A·W | I], times the lcm of the
+    # denominators in row i of A, is a row of ints, and one reduction yields
+    # U = W⁻¹·A·W, the operator in flag coordinates, and W⁻¹, row i over its
+    # pivot
+    flag = [_integer_row(vec)[0] for vec in flag]
+    w = list(zip(*flag))
+    rows = []
+    for i, entries in enumerate(matrix):
+        entries, scale = _integer_row(entries)
+        rows.append(
+            [scale * x for x in w[i]]
+            + [sum(map(mul, entries, vec)) for vec in flag]
+            + [scale if k == i else 0 for k in range(r)]
+        )
+    reduced, pivots = _row_reduce(rows)
+    if pivots[:r] != list(range(r)):
         raise FlagNotFull("flag vectors are linearly dependent")
+    leads = [reduced[i][i] for i in range(r)]
     upper = [row[r : 2 * r] for row in reduced]
     w_inverse = [row[2 * r :] for row in reduced]
     # triangularity == flag preservation
     for i in range(r):
         for j in range(i):
-            if upper[i][j] != 0:
+            if upper[i][j]:
                 raise FlagNotPreserved(
                     "flag step %d is not mapped into itself" % (j + 1)
                 )
 
     chosen = []
     for j in range(r):
-        value = upper[j][j]
-        block = [
-            [upper[i][k] - (value if i == k else 0) for k in range(j + 1)]
-            for i in range(j + 1)
-        ]
-        lifted = [
-            tuple(sum(c * vec[i] for c, vec in zip(coeffs, flag)) for i in range(r))
-            for coeffs in _nullspace(block)
-        ]
-        meet, _ = _row_reduce(lifted)
-        # a row lies outside V_j iff its j-th flag coordinate is nonzero
+        # the leading j-block of U - U_jj·I, row i times leads[i]·leads[j]
+        block = []
+        for i in range(j + 1):
+            row = [leads[j] * x for x in upper[i][: j + 1]]
+            row[i] -= leads[i] * upper[j][j]
+            block.append(row)
+        block, pivots = _row_reduce(block)
+        # its kernel, one vector per free column, times the lcm of the pivots,
+        # lifted by the flag vectors
+        scale = lcm(*(row[col] for row, col in zip(block, pivots)))
+        lifted = []
+        for free in range(j + 1):
+            if free in pivots:
+                continue
+            coeffs = [0] * (j + 1)
+            coeffs[free] = scale
+            for row, col in zip(block, pivots):
+                coeffs[col] = -row[free] * (scale // row[col])
+            lifted.append([sum(map(mul, coeffs, coords)) for coords in w])
+        meet, pivots = _row_reduce(lifted)
+        # a row lies outside V_j iff its j-th flag coordinate is nonzero; only
+        # those rows become Fractions, to be compared as Fractions
         candidates = [
-            row for row in meet if sum(a * x for a, x in zip(w_inverse[j], row)) != 0
+            tuple(Fraction(x, row[col]) for x in row)
+            for row, col in zip(meet, pivots)
+            if sum(map(mul, w_inverse[j], row))
         ]
         if not candidates:
             raise NotDiagonalizable(

@@ -2,10 +2,12 @@
 
 The verifier below shares no code with the implementation: it re-checks the
 eigenvector equation by direct multiplication and the span conditions by its
-own Gaussian elimination.
+own Gaussian elimination.  reference_eigenbasis spells out the canonical
+choice in Fractions, in ambient coordinates rather than flag coordinates.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,9 @@ def mat_vec(matrix, vector):
     ]
 
 
-def rank_of(rows):
-    """Row rank by plain fraction-exact elimination (own implementation)."""
+def rref(rows):
+    """Nonzero rows of the reduced echelon form, by plain fraction-exact
+    elimination (own implementation)."""
     work = [list(map(Fraction, row)) for row in rows]
     rank, col, n = 0, 0, len(work[0]) if work else 0
     while rank < len(work) and col < n:
@@ -40,7 +43,11 @@ def rank_of(rows):
                 work[k] = [a - factor * b for a, b in zip(work[k], work[rank])]
         rank += 1
         col += 1
-    return rank
+    return work[:rank]
+
+
+def rank_of(rows):
+    return len(rref(rows))
 
 
 def same_span(rows_a, rows_b):
@@ -109,6 +116,19 @@ def test_float_entries_rejected():
         FlaggedOperator(matrix=((0.5, 0), (0, 1)), flag=STANDARD2)
     with pytest.raises(ValueError):
         FlaggedOperator(matrix=((1, 0), (0, 1)), flag=((0.25, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "bad,name",
+    [(Decimal("0.5"), "Decimal"), (1j, "complex"), (None, "NoneType"),
+     (object(), "object")],
+)
+def test_non_rational_entries_rejected_at_construction(bad, name):
+    message = "entries must be exact rationals, not %s" % name
+    with pytest.raises(ValueError, match=message):
+        FlaggedOperator(matrix=((bad, 0), (0, 1)), flag=STANDARD2)
+    with pytest.raises(ValueError, match=message):
+        FlaggedOperator(matrix=((1, 0), (0, 1)), flag=((1, 0), (bad, 1)))
 
 
 def test_flag_not_preserved_detected():
@@ -264,3 +284,150 @@ def test_randomized_flagged_operators():
             pivot = next(j for j in range(n) if v[j] != 0)
             found.append(Fraction(image[pivot], v[pivot]))
         assert sorted(found) == sorted(map(Fraction, eigenvalues))
+
+
+# --- the canonical choice on non-standard flags -------------------------------
+
+def mat_mul(left, right):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+def inverse(matrix):
+    """Inverse by elimination of [M | I], or None when M is singular."""
+    n = len(matrix)
+    rows = rref([list(row) + [int(i == k) for k in range(n)]
+                 for i, row in enumerate(matrix)])
+    # the pivots of [M | I] all lie in M exactly when row i's is column i
+    if any(row[i] != 1 for i, row in enumerate(rows)):
+        return None
+    return [row[n:] for row in rows]
+
+
+def reference_eigenbasis(matrix, flag):
+    """The choice spelled out in Fractions, in the ambient coordinates.
+
+    At step j the eigenvalue is the j-th flag coordinate of A·f_j; the
+    eigenvectors inside V_j are the vectors sum c_k·f_k (k <= j) with
+    sum c_k·(A - λ·I)·f_k = 0; the step takes the least row of their
+    reduced echelon basis that lies outside V_{j-1}.
+    """
+    r = len(matrix)
+    if rank_of(flag) < r:
+        raise FlagNotFull
+    w_inverse = inverse([list(col) for col in zip(*flag)])
+    images = [mat_vec(matrix, f) for f in flag]
+    for j in range(r):
+        if rank_of(list(flag[: j + 1]) + [images[j]]) > j + 1:
+            raise FlagNotPreserved
+    chosen = []
+    for j in range(r):
+        value = sum(a * x for a, x in zip(w_inverse[j], images[j]))
+        # the columns (A - λ·I)·f_k, k <= j, as rows of the transposed system
+        columns = [[a - value * x for a, x in zip(images[k], flag[k])]
+                   for k in range(j + 1)]
+        system = rref([list(row) for row in zip(*columns)])
+        pivots = [next(k for k, x in enumerate(row) if x) for row in system]
+        kernel = []
+        for free in range(j + 1):
+            if free not in pivots:
+                coeffs = [Fraction(0)] * (j + 1)
+                coeffs[free] = Fraction(1)
+                for row, col in zip(system, pivots):
+                    coeffs[col] = -row[free]
+                kernel.append(coeffs)
+        lifted = [[sum(c * f[i] for c, f in zip(coeffs, flag)) for i in range(r)]
+                  for coeffs in kernel]
+        outside = [tuple(row) for row in rref(lifted)
+                   if rank_of(list(flag[:j]) + [row]) == j + 1]
+        if not outside:
+            raise NotDiagonalizable
+        chosen.append(min(outside))
+    return chosen
+
+
+def random_flagged_operator(rng, diagonal, fault=None):
+    """(W·P·D·P⁻¹·W⁻¹, flag): the flag vectors are the columns of a random
+    fractional W, P is unipotent upper triangular and D = diag(diagonal).  fault "jordan" couples two equal diagonal
+    entries, "moved" puts an entry below the diagonal of D (the flag is
+    then not preserved) and "dependent" makes a flag vector a multiple of
+    an earlier one after the matrix is built.
+    """
+    n = len(diagonal)
+    while True:
+        w = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 5)))
+              for _ in range(n)] for _ in range(n)]
+        w_inverse = inverse(w)
+        if w_inverse is not None:
+            break
+    p = [[Fraction(int(i == k)) if k <= i
+          else Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for k in range(n)]
+         for i in range(n)]
+    d = [[diagonal[i] if i == k else Fraction(0) for k in range(n)]
+         for i in range(n)]
+    if fault == "jordan":
+        pairs = [(i, k) for i in range(n) for k in range(i + 1, n)
+                 if diagonal[i] == diagonal[k]]
+        if pairs:
+            i, k = rng.choice(pairs)
+            d[i][k] = Fraction(1)
+    elif fault == "moved":
+        i = rng.randrange(1, n)
+        d[i][rng.randrange(i)] = Fraction(rng.choice((-1, 1)))
+    matrix = mat_mul(mat_mul(mat_mul(mat_mul(w, p), d), inverse(p)), w_inverse)
+    flag = [list(col) for col in zip(*w)]
+    if fault == "dependent":
+        k, factor = rng.randrange(1, n), rng.choice((-2, -1, 2))
+        flag[k] = [factor * x for x in flag[rng.randrange(k)]]
+    return matrix, flag
+
+
+def test_canonical_choice_on_random_non_standard_flags():
+    rng = random.Random(2201)
+    outcomes = {}
+    for case in range(300):
+        n = 2 + case // 5 % 5
+        values = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                  for _ in range(max(1, n - 1 - case % 3))]
+        fault = (None, None, "jordan", "moved", "dependent")[case % 5]
+        diagonal = [rng.choice(values) for _ in range(n)]
+        matrix, flag = random_flagged_operator(rng, diagonal, fault)
+        op = FlaggedOperator(matrix=matrix, flag=flag)
+        try:
+            expected = reference_eigenbasis(matrix, flag)
+        except (FlagNotFull, FlagNotPreserved, NotDiagonalizable) as exc:
+            with pytest.raises(type(exc)):
+                flag_compatible_eigenbasis(op)
+            outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+            continue
+        basis = flag_compatible_eigenbasis(op)
+        assert basis == expected
+        assert_valid_output(op.matrix, op.flag, basis)
+        outcomes["basis"] = outcomes.get("basis", 0) + 1
+    # every outcome is exercised, and a third of the draws have a basis
+    assert set(outcomes) == {
+        "basis", "FlagNotFull", "FlagNotPreserved", "NotDiagonalizable"
+    }
+    assert outcomes["basis"] > 100
+
+
+def test_one_call_builds_at_most_r_squared_fractions(monkeypatch):
+    # distinct eigenvalues leave one candidate row per step, r entries each;
+    # the reduction itself runs on ints
+    r = 8
+    rng = random.Random(22)
+    diagonal = [Fraction(v, 2) for v in rng.sample(range(-20, 21), r)]
+    matrix, flag = random_flagged_operator(rng, diagonal)
+    op = FlaggedOperator(matrix=matrix, flag=flag)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    basis = flag_compatible_eigenbasis(op)
+    monkeypatch.undo()
+    assert len(built) <= r * r
+    assert_valid_output(op.matrix, op.flag, basis)

@@ -111,6 +111,7 @@ FRACTION_CALLS = {
     ("eigenflag.py", "Fraction(x)"),
     # int numerators over int denominators
     ("chenruan.py", "Fraction(key, r)"),
+    ("eigenflag.py", "Fraction(x, row[col])"),
     ("shifts.py", "Fraction(sum((i * mult for i, mult in mults.items())), m)"),
     ("shifts.py", "Fraction(shift_base + t, m)"),
 }
