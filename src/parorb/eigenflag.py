@@ -16,8 +16,9 @@ rows: ints, Fractions and rational strings (read by the spec files'
 parse_rational) are stored as Fractions, and floats, bools and anything
 else are refused at construction.  Each row of the matrix and each flag
 vector is scaled to ints by the lcm of its denominators, every reduction
-runs fraction-free on ints, and Fractions are built only for the rows a
-step may choose, which are compared as Fractions.
+runs fraction-free on ints, and Fractions are built only for the row each
+step chooses, found from the pivots of the echelon rows without comparing
+any.
 """
 
 from __future__ import annotations
@@ -200,17 +201,20 @@ def flag_compatible_eigenbasis(op: FlaggedOperator):
                 coeffs[col] = -row[free] * (scale // row[col])
             lifted.append([sum(map(mul, coeffs, coords)) for coords in w])
         meet, pivots = _row_reduce(lifted)
-        # a row lies outside V_j iff its j-th flag coordinate is nonzero; only
-        # those rows become Fractions, to be compared as Fractions
-        candidates = [
-            tuple(Fraction(x, row[col]) for x in row)
-            for row, col in zip(meet, pivots)
-            if sum(map(mul, w_inverse[j], row))
-        ]
-        if not candidates:
+        # the echelon rows are zero before their pivots, which are positive
+        # and lie further right down the rows, and each row is zero in the
+        # others' pivot columns: at the pivot of the earlier of two rows, the
+        # later has 0 and the earlier a positive entry, so the later row is
+        # the lesser.  The least row outside V_j, where the j-th flag
+        # coordinate is nonzero, is then the last such row, and only it
+        # becomes Fractions
+        for row, col in zip(reversed(meet), reversed(pivots)):
+            if sum(map(mul, w_inverse[j], row)):
+                chosen.append(tuple(Fraction(x, row[col]) for x in row))
+                break
+        else:
             raise NotDiagonalizable(
                 "no eigenvector extends flag step %d (minimal polynomial "
                 "not squarefree)" % (j + 1)
             )
-        chosen.append(min(candidates))
     return chosen

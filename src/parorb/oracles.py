@@ -4,17 +4,17 @@ These re-derive the combinatorial counts by exhaustive enumeration with
 different algorithms than the library uses, so agreement actually means
 something:
 
-- the order census walks every element and ANDs per-coordinate killer
-  masks, built by trial (bit k-1 of value e's mask is set iff k*e = 0 mod
-  r), instead of taking gcds or inverting over divisors; the masks of each
-  half of g coordinates are ANDed once, and every element is one pair of
-  halves;
-- partitions come from de-duplicated permutations instead of recursive
-  combinations, and rotate by list slicing instead of index arithmetic;
-  each point's partition is rotated once, not once per combination it
-  joins, and its rotations are written as their places in the point's
-  sorted list of partitions, so a combination's rotations are tuples of
-  small ints;
+- the order census ANDs per-coordinate killer masks, built by trial (bit
+  k-1 of value e's mask is set iff k*e = 0 mod r), instead of taking gcds
+  or inverting over divisors; each of the r^g halves of g coordinates is
+  ANDed once and tallied by mask, and every element, a pair of halves, is
+  counted through the pair of its halves' mask classes;
+- partitions come from de-duplicated chunked permutations instead of
+  recursive combinations, and rotate by list slicing instead of index
+  arithmetic; each of a point's partitions is rotated by one once, into a
+  table of places in the point's sorted list of partitions, and its m
+  rotations are read off that table, so a combination's rotations are
+  tuples of small ints;
 - the two per-partition identities, dominance pairing and dimension
   bookkeeping, share one enumerate_partitions stream but check separate
   formulas; the pairing reads each partition's dominance vector once, and
@@ -171,11 +171,12 @@ def brute_force_order_census(r: int, g: int) -> dict[int, int]:
 
     Each coordinate value e gets a killer mask, found by trial: bit k-1 is
     set iff k*e vanishes mod r, for k = 1..r.  An element's killers are the
-    AND of its 2g masks, and its order is the lowest of them.  The AND of
-    each of the r^g half-vectors of g coordinates is taken once, and every
-    element, a pair of halves, is one more AND; the walk tallies elements by
-    mask and reads one order per distinct mask; no gcd shortcut, no Möbius
-    inversion.
+    AND of its 2g masks, and its order is the lowest of them.  Each of the
+    r^g half-vectors of g coordinates is walked and ANDed once, and the
+    halves are tallied by mask; every element is a pair of halves, so each
+    pair of mask classes is one AND, and it stands for the product of the
+    two tallies.  The census still covers all r^(2g) elements; no gcd
+    shortcut, no Möbius inversion.
 
     >>> brute_force_order_census(2, 1) == {1: 1, 2: 3}
     True
@@ -185,12 +186,12 @@ def brute_force_order_census(r: int, g: int) -> dict[int, int]:
         sum(1 << (k - 1) for k in range(1, r + 1) if (k * e) % r == 0)
         for e in range(r)
     ]
-    halves = list(map(partial(reduce, and_), product(killers, repeat=g)))
-    by_mask = Counter(starmap(and_, product(halves, repeat=2)))
+    halves = Counter(map(partial(reduce, and_), product(killers, repeat=g)))
     census: dict[int, int] = {}
-    for mask, count in by_mask.items():
+    for (a, count_a), (b, count_b) in product(halves.items(), repeat=2):
+        mask = a & b
         order = (mask & -mask).bit_length()
-        census[order] = census.get(order, 0) + count
+        census[order] = census.get(order, 0) + count_a * count_b
     return dict(sorted(census.items()))
 
 
@@ -203,23 +204,37 @@ def brute_force_point_partitions(weights, m: int) -> set:
     """
     items = tuple(weights)
     l = len(items) // m
-    found = set()
-    for perm in permutations(items):
-        blocks = tuple(
-            tuple(sorted(perm[k * l : (k + 1) * l])) for k in range(m)
-        )
-        found.add(blocks)
-    return found
+    return {
+        tuple(map(tuple, map(sorted, zip(*[iter(perm)] * l))))
+        for perm in permutations(items)
+    }
+
+
+def _rotation_indices(size: int, m: int) -> list[tuple[int, ...]]:
+    """For each partition of the labels 0..size-1 in sorted order, the
+    places in that order of its m rotations by 0..m-1.
+
+    A rotation by one moves the blocks by list slicing, blocks[1:] +
+    blocks[:1]; the table of where it sends each place is built once, and
+    rotation i is that table applied i times.
+    """
+    ordered = sorted(brute_force_point_partitions(range(size), m))
+    index = {blocks: k for k, blocks in enumerate(ordered)}
+    by_one = [index[blocks[1:] + blocks[:1]] for blocks in ordered]
+    rotated = [list(range(len(ordered)))]
+    for _ in range(m - 1):
+        rotated.append(list(map(by_one.__getitem__, rotated[-1])))
+    return list(zip(*rotated))
 
 
 def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     """Exhaustive partition count plus rotation-orbit structure.
 
     Returns {"count", "orbit_count", "orbits_all_size_m"}; rotation is done
-    by list slicing (blocks[i:] + blocks[:i] applied at every point), an
-    independent expression of the same action.  Each partition of each
-    point is rotated once, before the walk, and its m rotations are kept
-    as their indices in the point's sorted list of partitions.  A
+    by list slicing, an independent expression of the same action.  Each
+    point's partitions come from permutations of its labels, and their m
+    rotations, as places in the point's sorted list of partitions, come
+    from one table of where a rotation by one sends each place.  A
     combination's m rotations are then the zip of its points' index
     tuples, and as the indices follow the sorted order, the least of those
     is the least rotation.
@@ -228,25 +243,15 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     # relabel each point's weights by their sorted positions: partitions of
     # labels and of weights correspond one-to-one, and small-int hashing
     # keeps the exhaustive sweep affordable
-    rotations_by_point = []
-    for point in spec.weights:
-        ordered = sorted(brute_force_point_partitions(range(len(point)), m))
-        index = {blocks: k for k, blocks in enumerate(ordered)}
-        rotations_by_point.append([
-            tuple(index[blocks[i:] + blocks[:i]] for i in range(m))
-            for blocks in ordered
-        ])
-    heads, *tails = rotations_by_point
+    rotations_by_point = [_rotation_indices(len(point), m) for point in spec.weights]
     count = 0
     seen_orbit_min = set()
     orbits_all_size_m = True
-    for head_rotations in heads:
-        for tail in product(*tails):
-            count += 1
-            rotations = set(zip(head_rotations, *tail))
-            if len(rotations) != m:
-                orbits_all_size_m = False
-            seen_orbit_min.add(min(rotations))
+    for rotations in map(set, starmap(zip, product(*rotations_by_point))):
+        count += 1
+        if len(rotations) != m:
+            orbits_all_size_m = False
+        seen_orbit_min.add(min(rotations))
     return {
         "count": count,
         "orbit_count": len(seen_orbit_min),

@@ -8,13 +8,16 @@ m; the lexicographically least member of an orbit is its representative.
 
 Weights within a point are distinct, so every combinatorial quantity depends
 only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
-small ints are chosen and compared, each partition's dominance vector is
-counted from its ranks, and a point's sorted weights (or, for the shifts
+small ints are chosen in position order, and each partition's dominance
+vector is carried down the walk, each new block adding its pair counts
+against the blocks before it.  A point's sorted weights (or, for the shifts
 rows, their strings) are attached only to the blocks of each yielded
-partition.  A PointPartition keeps its vector, and a WeightPartition keeps
-the sum of its points' vectors, set once where it is built: an enumeration
-adds each point's vector to a running sum as the product advances, one add
-per partition, and a rotation carries its source's vector over.  The least
+partition, each block's labels made once per walk.  A PointPartition keeps
+its vector, and a WeightPartition keeps the sum of its points' vectors, set
+once where it is built: an enumeration adds each point's vector to a
+running sum as the product advances, one add per partition, and a rotation
+carries its source's vector over.  The points after the first share one
+walk of the ranks, which each relabels with its own weights.  The least
 rotation is always the one that puts point 0's smallest weight (rank 0)
 into block 0, the only block starting with it.  compute_orbit_section
 therefore builds exactly the partitions whose first block starts with rank
@@ -103,8 +106,8 @@ class PointPartition(_Frozen):
     def _enumerated(
         cls, blocks: tuple[tuple[Fraction, ...], ...], dominance: tuple[int, ...]
     ) -> PointPartition:
-        """A partition from _point_partitions or galois_rotate: blocks
-        already sorted and of equal size, and its dominance vector known."""
+        """A partition from an enumeration or galois_rotate: blocks already
+        sorted and of equal size, and its dominance vector known."""
         part = object.__new__(cls)
         object.__setattr__(part, "blocks", blocks)
         object.__setattr__(part, "_dominance", dominance)
@@ -211,7 +214,8 @@ def _dominance_counts(blk: list[int], m: int) -> tuple[int, ...]:
     """Entry i counts the rank pairs b < a with blk[b] - blk[a] = i mod m.
 
     blk[k] is the block of the k-th smallest weight; one pass over the
-    r(r-1)/2 pairs gives every i at once.
+    r(r-1)/2 pairs gives every i at once.  The rule for a partition built
+    directly; enumerations carry the vector down their walk instead.
     """
     counts = [0] * m
     for a, blk_a in enumerate(blk):
@@ -220,32 +224,94 @@ def _dominance_counts(blk: list[int], m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+class _Dominated(dict):
+    """One row of a walk's pair table: block b -> the number of pairs
+    x > y with x in the row's block and y in b, counted when first asked."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: tuple[int, ...]):
+        self.block = block
+
+    def __missing__(self, other: tuple[int, ...]) -> int:
+        count = self[other] = sum(x > y for x in self.block for y in other)
+        return count
+
+
+class _Shown(dict):
+    """A walk's label table: block of ranks -> its labels, made when first
+    asked."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: Sequence):
+        self.labels = labels
+
+    def __missing__(self, block: tuple[int, ...]) -> tuple:
+        shown = self[block] = tuple(map(self.labels.__getitem__, block))
+        return shown
+
+
 def _rank_partitions(
     r: int, m: int, anchored: bool
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Ordered partitions of the ranks 0..r-1 into m blocks of r/m, ascending.
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """(blocks, dominance vector) of each ordered partition of the ranks
+    0..r-1 into m blocks of r/m, ascending.
 
     Blocks are sorted, and all m! arrangements of a set partition appear.
     anchored yields only the partitions whose first block starts with rank
     0, which lead the stream, and builds no other.
+
+    The one integer-labelled core behind every per-point enumeration.
+    Blocks are chosen in position order, and the vector is carried down:
+    a block put d places after an earlier one adds their pair count c to
+    entry d and the l*l - c other pairs to entry m - d, and the pairs within
+    blocks make entry 0 start at m*C(l, 2).  The pair counts come from a
+    table that keeps only the pairs of blocks the walk meets: ordered pairs
+    of disjoint blocks, r(r-1) at most when m = r, and at most m(m-1)/2
+    more per partition yielded.
     """
     l = r // m
+    square = l * l
+    table: dict[tuple[int, ...], _Dominated] = {}
 
-    def rec(remaining, heads):
-        if len(remaining) == l:
-            yield (remaining,)
-            return
+    def rec(remaining, heads, blocks, rows, vector):
+        # rows holds the table rows of blocks, nearest first
         for head in heads:
-            rest = tuple(k for k in remaining if k not in head)
-            for tail in rec(rest, combinations(rest, l)):
-                yield (head,) + tail
+            added = vector[:]
+            d = 1
+            for row in rows:
+                c = row[head]
+                added[d] += c
+                added[m - d] += square - c
+                d += 1
+            row = table.get(head)
+            if row is None:
+                row = table[head] = _Dominated(head)
+            chosen, below = blocks + (head,), [row] + rows
+            rest = [k for k in remaining if k not in head]
+            if len(rest) > l:
+                yield from rec(rest, combinations(rest, l), chosen, below, added)
+                continue
+            # the last block is what is left
+            last = tuple(rest)
+            d = 1
+            for row in below:
+                c = row[last]
+                added[d] += c
+                added[m - d] += square - c
+                d += 1
+            yield chosen + (last,), tuple(added)
 
     ranks = tuple(range(r))
+    vector = [m * (l * (l - 1) // 2)] + [0] * (m - 1)
+    if m == 1:
+        return iter([((ranks,), tuple(vector))])
     if anchored:
         heads = ((0,) + more for more in combinations(ranks[1:], l - 1))
     else:
         heads = combinations(ranks, l)
-    return rec(ranks, heads)
+    return rec(ranks, heads, (), [], vector)
 
 
 def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
@@ -259,22 +325,15 @@ def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
 def _labelled_partitions(
     labels: Sequence, m: int, anchored: bool
 ) -> Iterator[tuple[tuple[tuple, ...], tuple[int, ...]]]:
-    """(blocks, dominance vector) of each ordered partition of the ranks
-    0..len(labels)-1 into m blocks, ascending, with rank k shown as
-    labels[k] in the blocks and the vector counted from the ranks.
+    """_rank_partitions(len(labels), m, anchored) with rank k shown as
+    labels[k]: a point's sorted weights, their strings, or the ranks.
 
-    The one integer-labelled core behind every per-point enumeration; the
-    labels are a point's sorted weights, their strings, or the ranks.
+    Each block's labels are made once per call and shared by every
+    partition that holds the block.
     """
-    blk = [0] * len(labels)
-    for blocks in _rank_partitions(len(labels), m, anchored):
-        for j, block in enumerate(blocks):
-            for k in block:
-                blk[k] = j
-        yield (
-            tuple(tuple(labels[k] for k in block) for block in blocks),
-            _dominance_counts(blk, m),
-        )
+    shown = _Shown(labels).__getitem__
+    for blocks, vector in _rank_partitions(len(labels), m, anchored):
+        yield tuple(map(shown, blocks)), vector
 
 
 def _point_partitions(
@@ -284,7 +343,7 @@ def _point_partitions(
 
     Enumeration runs on the ranks of the weights.  The sorted weights are
     attached only to the blocks of each yielded partition, whose dominance
-    vector is set from the ranks, with no sort.  anchored keeps only the
+    vector comes from the ranks, with no sort.  anchored keeps only the
     partitions with the smallest weight in block 0.  Tied weights raise
     ValueError before anything is yielded.
     """
@@ -315,15 +374,24 @@ def _partition_product(
     spec: ModuliSpec, m: int, anchored: bool
 ) -> Iterator[WeightPartition]:
     """The product of the per-point partitions, ascending; point 0 streams,
-    anchored or not, and each later point's list is built once and shared.
-    Each partition gets its dominance vector as it is built: point 0's own
-    when it is the only point, else the running sum of _summed_product."""
+    anchored or not.  The ranks are walked once more, for one list that
+    every later point relabels with its weights, so each later point's list
+    is built once and shared.  Each partition gets its dominance vector as
+    it is built: point 0's own when it is the only point, else the running
+    sum of _summed_product."""
     _require_divisor(m, spec.rank)
-    tail_lists = [
-        [(p, p.dominance_vector()) for p in _point_partitions(point, m)]
-        for point in spec.weights[1:]
-    ]
-    for head in _point_partitions(spec.weights[0], m, anchored):
+    head_weights, *tail_weights = map(_sorted_distinct, spec.weights)
+    tail_lists = []
+    if tail_weights:
+        ranked = list(_rank_partitions(spec.rank, m, anchored=False))
+        for weights in tail_weights:
+            shown = _Shown(weights).__getitem__
+            tail_lists.append([
+                (PointPartition._enumerated(tuple(map(shown, blocks)), vector), vector)
+                for blocks, vector in ranked
+            ])
+        del ranked  # only the relabelled lists live on while point 0 streams
+    for head in _point_partitions(head_weights, m, anchored):
         if tail_lists:
             yield from _summed_product(tail_lists, (head,), head.dominance_vector())
         else:
@@ -335,7 +403,8 @@ def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
 
     Deterministic ascending order, no duplicates, nothing materialized
     beyond one per-point table for the points after the first (the first
-    point streams, so single-point instances use O(1) memory).
+    point streams, so single-point instances hold O(1) partitions; the
+    walk's pair counts grow only with the pairs of blocks it has met).
     """
     return _partition_product(spec, m, anchored=False)
 

@@ -431,3 +431,26 @@ def test_one_call_builds_at_most_r_squared_fractions(monkeypatch):
     monkeypatch.undo()
     assert len(built) <= r * r
     assert_valid_output(op.matrix, op.flag, basis)
+
+
+def test_a_repeated_eigenvalue_builds_exactly_r_squared_fractions(monkeypatch):
+    # a repeated eigenvalue leaves several echelon rows outside a flag step;
+    # the chosen one is found from the pivots, and only its r entries become
+    # Fractions: r per step, where comparing every candidate built 78 here
+    r = 6
+    diagonal = [Fraction(v) for v in (3, -1, 3, 3, -1, 3)]
+    matrix, flag = random_flagged_operator(random.Random(0), diagonal)
+    op = FlaggedOperator(matrix=matrix, flag=flag)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    basis = flag_compatible_eigenbasis(op)
+    monkeypatch.undo()
+    assert len(built) == r * r
+    assert basis == reference_eigenbasis(matrix, flag)
+    assert_valid_output(op.matrix, op.flag, basis)

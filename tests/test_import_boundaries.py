@@ -5,7 +5,9 @@ The rows of the shifts section are built by shifts._orbit_classes; a CLI
 that imported a private helper of parorb.partitions could grow its own copy
 of the shift rule again.  cli._SECTIONS is the one map from a section to the
 rules that bound it; a rule in parorb.oracles that named a section could
-grow a second one.  Importing the package loads no dataclasses.  And
+grow a second one.  The brute-force oracles take only the closed-form
+count from parorb.partitions, never its enumeration.  Importing the package
+loads no dataclasses.  And
 outside arith.py, Fraction() is called on a variable only where an int or
 a Fraction is all it can receive.
 """
@@ -45,6 +47,13 @@ def test_oracles_reads_no_dominance_count_from_shifts():
     assert sorted(name for _, name in names) == [
         "fixed_component_dimension", "total_codimension"
     ]
+
+
+def test_oracles_takes_only_the_closed_form_count_from_partitions():
+    # the brute-force censuses walk permutations of their own; borrowing
+    # the fast integer core would make them check it against itself
+    names = imported_names(PACKAGE / "oracles.py", "partitions")
+    assert [name for _, name in names] == ["count_partitions"]
 
 
 def test_oracles_names_no_cli_section():

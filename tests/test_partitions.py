@@ -3,18 +3,22 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from parorb import partitions
 from parorb.errors import IndexOutOfRange
 from parorb.model import ModuliSpec
 from parorb.oracles import brute_force_point_partitions
 from parorb.partitions import (
     PointPartition,
     WeightPartition,
+    _labelled_partitions,
     _point_partitions,
+    _rank_partitions,
     compute_orbit_section,
     count_partitions,
     enumerate_partitions,
@@ -355,3 +359,75 @@ def test_dominance_count_sums_the_points_at_most_once(monkeypatch):
         for i in range(1, 6):
             dominance_count(t, i)
         assert len(calls) <= 2
+
+
+def defined_vector(blocks, m):
+    """Entry i counts the rank pairs b < a with b's block i places after
+    a's, pair by pair."""
+    block_of = {k: j for j, block in enumerate(blocks) for k in block}
+    vector = [0] * m
+    for b, a in itertools.combinations(sorted(block_of), 2):
+        vector[(block_of[b] - block_of[a]) % m] += 1
+    return tuple(vector)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_rank_core_matches_the_definition_exhaustively(r):
+    # the block order by sorting de-duplicated chunked permutations, and
+    # each vector pair by pair, for every m | r, anchored and not
+    labels = ["w%d" % k for k in random.Random(8800 + r).sample(range(100), r)]
+    labels.sort()
+    perms = list(itertools.permutations(range(r)))
+    for m in (d for d in range(1, r + 1) if r % d == 0):
+        l = r // m
+        every = sorted({
+            tuple(tuple(sorted(perm[k * l : (k + 1) * l])) for k in range(m))
+            for perm in perms
+        })
+        for anchored in (False, True):
+            expected = [
+                (blocks, defined_vector(blocks, m))
+                for blocks in every
+                if not anchored or blocks[0][0] == 0
+            ]
+            assert list(_rank_partitions(r, m, anchored)) == expected
+            assert list(_labelled_partitions(labels, m, anchored)) == [
+                (tuple(tuple(labels[k] for k in block) for block in blocks), vector)
+                for blocks, vector in expected
+            ]
+
+
+def test_first_partition_of_rank_16_builds_no_table_of_all_block_pairs():
+    # C(16, 8)^2 = 165,636,900 pairs of halves: the pair and label tables
+    # hold only what the walk has met, one pair of blocks after one step
+    tracemalloc.start()
+    try:
+        first = next(_rank_partitions(16, 2, anchored=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ((tuple(range(8)), tuple(range(8, 16))), (56, 64))
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("build", [
+    lambda spec, m: list(enumerate_partitions(spec, m)),
+    lambda spec, m: compute_orbit_section(spec, m),
+], ids=["enumerate_partitions", "compute_orbit_section"])
+def test_product_walks_the_ranks_at_most_twice(monkeypatch, s, build):
+    # once for point 0's stream, and once for the one list that every
+    # later point relabels with its own weights
+    real = partitions._rank_partitions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "_rank_partitions", counted)
+    spec = uneven_spec(4, s, seed=4400 + s)
+    for m in (2, 4):
+        del calls[:]
+        build(spec, m)
+        assert len(calls) == min(s, 2)
