@@ -11,17 +11,17 @@ only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen in position order, and each partition's dominance
 vector is carried down the walk, each new block adding its pair counts
 against the blocks before it.  A point's sorted weights (or, for the shifts
-rows, their strings) are attached only to the blocks of each yielded
-partition, each block's labels made once per walk.  A PointPartition keeps
-its vector, and a WeightPartition keeps the sum of its points' vectors, set
-once where it is built: an enumeration adds each point's vector to a
-running sum as the product advances, one add per partition, and a rotation
-carries its source's vector over.  The points after the first share one
-walk of the ranks, which each relabels with its own weights.  The least
-rotation is always the one that puts point 0's smallest weight (rank 0)
-into block 0, the only block starting with it.  compute_orbit_section
-therefore builds exactly the partitions whose first block starts with rank
-0, and orbit_canonical only has to find which block holds that weight.
+rows, their strings) are attached only to each yielded partition, in one
+pass over its ranks.  A PointPartition keeps its vector, and a
+WeightPartition keeps the sum of its points' vectors, set once where it is
+built: an enumeration adds each point's vector to a running sum as the
+product advances, one add per partition, and a rotation carries its source's
+vector over.  The points after the first share one walk of the ranks, which
+each relabels with its own weights.  The least rotation is always the one
+that puts point 0's smallest weight (rank 0) into block 0, the only block
+starting with it.  compute_orbit_section therefore builds exactly the
+partitions whose first block starts with rank 0, and orbit_canonical only
+has to find which block holds that weight.
 
 Blocks are kept internally sorted, so comparisons and representatives are
 deterministic: partitions compare by (point index, block index, block
@@ -30,12 +30,13 @@ contents).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import factorial
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import _require_divisor, format_rational
 from .errors import IndexOutOfRange, _Frozen
@@ -224,9 +225,14 @@ def _dominance_counts(blk: list[int], m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _pairs_above(high: tuple[int, ...], low: tuple[int, ...]) -> int:
+    """The number of pairs x > y with x in high and y in low, low sorted."""
+    return sum(map(bisect_left, repeat(low), high))
+
+
 class _Dominated(dict):
-    """One row of a walk's pair table: block b -> the number of pairs
-    x > y with x in the row's block and y in b, counted when first asked."""
+    """A placed block's pair counts against blocks placed after it: block
+    -> _pairs_above(self.block, block), counted when first asked."""
 
     __slots__ = ("block",)
 
@@ -234,22 +240,8 @@ class _Dominated(dict):
         self.block = block
 
     def __missing__(self, other: tuple[int, ...]) -> int:
-        count = self[other] = sum(x > y for x in self.block for y in other)
+        count = self[other] = _pairs_above(self.block, other)
         return count
-
-
-class _Shown(dict):
-    """A walk's label table: block of ranks -> its labels, made when first
-    asked."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels: Sequence):
-        self.labels = labels
-
-    def __missing__(self, block: tuple[int, ...]) -> tuple:
-        shown = self[block] = tuple(map(self.labels.__getitem__, block))
-        return shown
 
 
 def _rank_partitions(
@@ -266,17 +258,18 @@ def _rank_partitions(
     Blocks are chosen in position order, and the vector is carried down:
     a block put d places after an earlier one adds their pair count c to
     entry d and the l*l - c other pairs to entry m - d, and the pairs within
-    blocks make entry 0 start at m*C(l, 2).  The pair counts come from a
-    table that keeps only the pairs of blocks the walk meets: ordered pairs
-    of disjoint blocks, r(r-1) at most when m = r, and at most m(m-1)/2
-    more per partition yielded.
+    blocks make entry 0 start at m*C(l, 2).  A block with two or more
+    positions after it keeps a row of its counts while it is placed, since
+    the blocks below it recur across its subtree: at most m - 2 rows of at
+    most C(r - l, l) counts live at once, whatever the length of the stream.
+    The last block's count against the one before it is read once, so it
+    is taken directly.
     """
     l = r // m
     square = l * l
-    table: dict[tuple[int, ...], _Dominated] = {}
 
     def rec(remaining, heads, blocks, rows, vector):
-        # rows holds the table rows of blocks, nearest first
+        # rows holds the row of each block of blocks, nearest first
         for head in heads:
             added = vector[:]
             d = 1
@@ -285,23 +278,23 @@ def _rank_partitions(
                 added[d] += c
                 added[m - d] += square - c
                 d += 1
-            row = table.get(head)
-            if row is None:
-                row = table[head] = _Dominated(head)
-            chosen, below = blocks + (head,), [row] + rows
             rest = [k for k in remaining if k not in head]
             if len(rest) > l:
-                yield from rec(rest, combinations(rest, l), chosen, below, added)
+                below = [_Dominated(head)] + rows
+                yield from rec(rest, combinations(rest, l), blocks + (head,), below, added)
                 continue
             # the last block is what is left
             last = tuple(rest)
-            d = 1
-            for row in below:
+            c = _pairs_above(head, last)
+            added[1] += c
+            added[m - 1] += square - c
+            d = 2
+            for row in rows:
                 c = row[last]
                 added[d] += c
                 added[m - d] += square - c
                 d += 1
-            yield chosen + (last,), tuple(added)
+            yield blocks + (head, last), tuple(added)
 
     ranks = tuple(range(r))
     vector = [m * (l * (l - 1) // 2)] + [0] * (m - 1)
@@ -323,31 +316,43 @@ def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
 
 
 def _labelled_partitions(
-    labels: Sequence, m: int, anchored: bool
+    labels: Sequence,
+    m: int,
+    anchored: bool,
+    ranked: Optional[Iterable[tuple]] = None,
 ) -> Iterator[tuple[tuple[tuple, ...], tuple[int, ...]]]:
     """_rank_partitions(len(labels), m, anchored) with rank k shown as
     labels[k]: a point's sorted weights, their strings, or the ranks.
 
-    Each block's labels are made once per call and shared by every
-    partition that holds the block.
+    ranked, when given, is that walk already made: the one list that every
+    later point of a product relabels.  Each partition's ranks are mapped
+    in one pass and cut back into blocks of r/m, so no table of labelled
+    blocks is kept.
     """
-    shown = _Shown(labels).__getitem__
-    for blocks, vector in _rank_partitions(len(labels), m, anchored):
-        yield tuple(map(shown, blocks)), vector
+    if ranked is None:
+        ranked = _rank_partitions(len(labels), m, anchored)
+    show, l = labels.__getitem__, len(labels) // m
+    for blocks, vector in ranked:
+        yield tuple(zip(*[iter(map(show, chain.from_iterable(blocks)))] * l)), vector
 
 
 def _point_partitions(
-    weights: Iterable[Fraction], m: int, anchored: bool = False
+    weights: Iterable[Fraction],
+    m: int,
+    anchored: bool = False,
+    ranked: Optional[Iterable[tuple]] = None,
 ) -> Iterator[PointPartition]:
     """One point's ordered block partitions, ascending.
 
-    Enumeration runs on the ranks of the weights.  The sorted weights are
-    attached only to the blocks of each yielded partition, whose dominance
-    vector comes from the ranks, with no sort.  anchored keeps only the
-    partitions with the smallest weight in block 0.  Tied weights raise
-    ValueError before anything is yielded.
+    Enumeration runs on the ranks of the weights, or relabels ranked, a
+    walk already made.  The sorted weights are attached only to the blocks
+    of each yielded partition, whose dominance vector comes from the ranks,
+    with no sort.  anchored keeps only the partitions with the smallest
+    weight in block 0.  Tied weights raise ValueError before anything is
+    yielded.
     """
-    for blocks, vector in _labelled_partitions(_sorted_distinct(weights), m, anchored):
+    labels = _sorted_distinct(weights)
+    for blocks, vector in _labelled_partitions(labels, m, anchored, ranked):
         yield PointPartition._enumerated(blocks, vector)
 
 
@@ -380,16 +385,14 @@ def _partition_product(
     it is built: point 0's own when it is the only point, else the running
     sum of _summed_product."""
     _require_divisor(m, spec.rank)
-    head_weights, *tail_weights = map(_sorted_distinct, spec.weights)
+    head_weights, *tail_weights = spec.weights
     tail_lists = []
     if tail_weights:
         ranked = list(_rank_partitions(spec.rank, m, anchored=False))
-        for weights in tail_weights:
-            shown = _Shown(weights).__getitem__
-            tail_lists.append([
-                (PointPartition._enumerated(tuple(map(shown, blocks)), vector), vector)
-                for blocks, vector in ranked
-            ])
+        tail_lists = [
+            [(p, p.dominance_vector()) for p in _point_partitions(weights, m, ranked=ranked)]
+            for weights in tail_weights
+        ]
         del ranked  # only the relabelled lists live on while point 0 streams
     for head in _point_partitions(head_weights, m, anchored):
         if tail_lists:
@@ -403,8 +406,9 @@ def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
 
     Deterministic ascending order, no duplicates, nothing materialized
     beyond one per-point table for the points after the first (the first
-    point streams, so single-point instances hold O(1) partitions; the
-    walk's pair counts grow only with the pairs of blocks it has met).
+    point streams, so single-point instances use memory that does not grow
+    with the stream: the walk keeps only the count rows of the blocks it
+    has placed).
     """
     return _partition_product(spec, m, anchored=False)
 

@@ -398,8 +398,8 @@ def test_rank_core_matches_the_definition_exhaustively(r):
 
 
 def test_first_partition_of_rank_16_builds_no_table_of_all_block_pairs():
-    # C(16, 8)^2 = 165,636,900 pairs of halves: the pair and label tables
-    # hold only what the walk has met, one pair of blocks after one step
+    # C(16, 8)^2 = 165,636,900 pairs of halves: the walk counts only the
+    # pairs of the blocks it has placed
     tracemalloc.start()
     try:
         first = next(_rank_partitions(16, 2, anchored=False))
@@ -408,6 +408,21 @@ def test_first_partition_of_rank_16_builds_no_table_of_all_block_pairs():
         tracemalloc.stop()
     assert first == ((tuple(range(8)), tuple(range(8, 16))), (56, 64))
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("r, m", [(16, 2), (12, 3)])
+def test_a_whole_walk_keeps_no_table_that_grows_with_the_stream(r, m):
+    # 12,870 and 34,650 partitions: a count or a labelled block kept for
+    # every block the walk meets would take megabytes here, where the walk
+    # keeps only the count rows of the blocks it has placed
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in _labelled_partitions(range(r), m, anchored=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walked == count_partitions(r, m, 1)
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
