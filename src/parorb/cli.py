@@ -51,7 +51,7 @@ from .oracles import (
     brute_force_partition_census,
     check_partition_identities,
 )
-from .partitions import count_partitions, enumerate_partitions
+from .partitions import count_partitions
 from .shifts import _orbit_classes, _require_shift_hypotheses
 from .torsion import TorsionElement, _nontrivial_orders, count_elements_of_order
 
@@ -255,17 +255,16 @@ def _oracle_section(spec: ModuliSpec) -> dict:
             _require_shift_hypotheses(spec, eta)
         except (CapabilityMissing, ModeMismatch):
             eta = None
-        pairing, identity = check_partition_identities(
-            spec, m, eta, enumerate_partitions(spec, m)
-        )
+        pairing, identity, tally = check_partition_identities(spec, m, eta)
         checks.append({"check": "dominance_pairing", "order": m, **pairing})
-        if identity is None:
-            identity = {
-                "pass": None,
-                "skipped": "needs coprime rank/degree, squarefree rank, "
-                "non-Higgs mode",
-            }
-        checks.append({"check": "dimension_identity", "order": m, **identity})
+        for name, result in (("dimension_identity", identity), ("shift_tally", tally)):
+            if result is None:
+                result = {
+                    "pass": None,
+                    "skipped": "needs coprime rank/degree, squarefree rank, "
+                    "non-Higgs mode",
+                }
+            checks.append({"check": name, "order": m, **result})
 
     all_pass = all(entry["pass"] is not False for entry in checks)
     return {"op": "oracle_crosschecks", "all_pass": all_pass, "checks": checks}

@@ -15,10 +15,15 @@ something:
   table of places in the point's sorted list of partitions, and its m
   rotations are read off that table, so a combination's rotations are
   tuples of small ints;
-- the two per-partition identities, dominance pairing and dimension
-  bookkeeping, share one enumerate_partitions stream but check separate
-  formulas; the pairing reads each partition's dominance vector once, and
-  the dimension identity goes through total_codimension.
+- the per-partition identities walk no product of partitions: each
+  dominance count C(i) is counted from its definition, pair by pair, on
+  one point's permuted-and-chunked partitions of the labels 0..r-1, one
+  table serving every point; as C_t(i) = sum_p C_p(i), the s tables are
+  convolved into product classes, each a summed vector, its multiplicity
+  and one representative, and the dominance pairing, the dimension
+  identity (its codimension worked out here) and the tally of the degree
+  shifts, built from S = sum_i i*C(i), against shift_histogram, are
+  checked once per class.
 
 They back the test suite and the CLI's --oracle mode.  Every limit lives
 here with its rule; the oracles keep themselves at desk scale with them, and
@@ -34,14 +39,14 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import partial, reduce
-from itertools import permutations, product, starmap
-from operator import and_
+from itertools import combinations, permutations, product, starmap
+from operator import add, and_
 
-from .arith import divisors
+from .arith import divisors, format_rational
 from .errors import GuardrailExceeded
 from .model import ModuliSpec, moduli_dimension
 from .partitions import count_partitions
-from .shifts import fixed_component_dimension, total_codimension
+from .shifts import fixed_component_dimension, shift_histogram
 from .torsion import TorsionElement, count_elements_of_order, spectral_cover_data
 
 CENSUS_LIMIT = 10 ** 7
@@ -259,48 +264,113 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     }
 
 
-def check_partition_identities(
-    spec: ModuliSpec, m: int, eta: TorsionElement | None, partitions
-) -> tuple[dict, dict | None]:
-    """Dominance pairing and dimension bookkeeping over one partition stream.
+def _dominance_by_definition(blocks: tuple, m: int) -> tuple[int, ...]:
+    """C(0), ..., C(m-1) of one point's partition of the labels 0..r-1 into
+    m blocks, from the definition: entry i counts the pairs a > b with a in
+    block j and b in block j+i mod m, read pair by pair off each label's
+    block."""
+    place = [0] * (m * len(blocks[0]))
+    for j, block in enumerate(blocks):
+        for a in block:
+            place[a] = j
+    counts = [0] * m
+    for b, a in combinations(range(len(place)), 2):
+        counts[(place[b] - place[a]) % m] += 1
+    return tuple(counts)
 
-    Pairing: C_t(i) + C_t(m-i) must equal s*m*l^2 for every t and i, read
-    off t's dominance vector, taken once per partition.
-    Dimension: moduli_dimension must equal fixed dim + codim for every t,
-    with eta of order m; pass eta=None when its hypotheses fail, and that
-    check is not run.  Each check stops at its first failure, and the
-    stream is read until both are decided.  Returns (pairing, dimension),
-    the latter None without eta.
+
+def _partition_classes(spec: ModuliSpec, m: int) -> dict:
+    """{C_t: [number of partitions t with it, one of them]} over the product
+    of spec's points' partitions into m blocks, t one partition of the
+    labels 0..r-1 per point.
+
+    One point's partitions come from brute_force_point_partitions, and
+    each is counted from the definition; every point's weights are
+    distinct, so that one table, in ascending order, serves all s points.
+    C_t(i) = sum_p C_p(i), so the product's classes are the s-fold
+    convolution of the table's, and the first class holds the least t.
     """
-    s = spec.num_points
-    l = spec.rank // m
+    table: dict = {}
+    for blocks in sorted(brute_force_point_partitions(range(spec.rank), m)):
+        vector = _dominance_by_definition(blocks, m)
+        if vector in table:
+            table[vector][0] += 1
+        else:
+            table[vector] = [1, blocks]
+    classes = {(0,) * m: [1, ()]}
+    for _ in spec.weights:
+        grown: dict = {}
+        for vector, (count, t) in classes.items():
+            for point_vector, (point_count, blocks) in table.items():
+                summed = tuple(map(add, vector, point_vector))
+                if summed in grown:
+                    grown[summed][0] += count * point_count
+                else:
+                    grown[summed] = [count * point_count, t + (blocks,)]
+        classes = grown
+    return classes
+
+
+def _weight_mapping(spec: ModuliSpec, t: tuple) -> list:
+    """t, one partition of the labels 0..r-1 per point, as the nested lists
+    of weight strings WeightPartition.to_mapping gives: label k is the
+    point's k-th smallest weight."""
+    return [
+        [[format_rational(weights[k]) for k in block] for block in blocks]
+        for weights, blocks in zip(spec.weights, t)
+    ]
+
+
+def check_partition_identities(
+    spec: ModuliSpec, m: int, eta: TorsionElement | None
+) -> tuple[dict, dict | None, dict | None]:
+    """Dominance pairing, dimension bookkeeping and the shift tally at
+    order m, once per class of _partition_classes.
+
+    Pairing: C_t(i) + C_t(m-i) must equal s*m*l^2 for every t and i.
+    With eta of order m, mult(i) = r^2 (g-1)/m + C_t(i) for i >= 1, and
+    dimension: moduli_dimension must equal fixed_component_dimension plus
+    the codimension sum_i mult(i) for every t; shift tally: the number of
+    partitions per m*shift = sum_i i*mult(i) must be m times
+    shift_histogram's number of orbit classes per shift, compared on the
+    integer keys m*shift.  Pass eta=None when its hypotheses fail; the
+    last two checks are then not run.  A failing pairing or dimension
+    check names the representative of the first class that fails it, and
+    a failing tally the least key it disagrees on.  Returns (pairing,
+    dimension, shift tally), the last two None without eta.
+    """
+    s, l = spec.num_points, spec.rank // m
     target = s * m * l * l
-    pairing = dimension = None
-    pairs_checked = dims_checked = 0
-    dimension_open = eta is not None
-    if dimension_open:
-        dim = moduli_dimension(spec)
-        fixed = fixed_component_dimension(spec, eta)
-    for t in partitions:
-        if pairing is None:
-            v = t.dominance_vector()
-            for i in range(1, m):
-                if v[i] + v[m - i] != target:
-                    pairing = {
-                        "pass": False, "failing_partition": t.to_mapping(), "i": i
-                    }
-                    break
-                pairs_checked += 1
-        if dimension_open:
-            if fixed + total_codimension(spec, eta, t) != dim:
-                dimension = {"pass": False, "failing_partition": t.to_mapping()}
-                dimension_open = False
-            else:
-                dims_checked += 1
-        if pairing is not None and not dimension_open:
+    classes = _partition_classes(spec, m)
+    count = sum(n for n, _ in classes.values())
+    pairing = {"pass": True, "checked": count * (m - 1), "target": target}
+    for vector, (_, t) in classes.items():
+        i = next((i for i in range(1, m) if vector[i] + vector[m - i] != target), 0)
+        if i:
+            pairing = {
+                "pass": False, "failing_partition": _weight_mapping(spec, t), "i": i
+            }
             break
-    if pairing is None:
-        pairing = {"pass": True, "checked": pairs_checked, "target": target}
-    if dimension_open:
-        dimension = {"pass": True, "checked": dims_checked, "moduli_dimension": dim}
-    return pairing, dimension
+    if eta is None:
+        return pairing, None, None
+
+    dim = moduli_dimension(spec)
+    fixed = fixed_component_dimension(spec, eta)
+    base = spec.rank * spec.rank * (spec.genus - 1) // m
+    dimension = {"pass": True, "checked": count, "moduli_dimension": dim}
+    tally: Counter = Counter()
+    for vector, (n, t) in classes.items():
+        mults = [base + c for c in vector[1:]]
+        if dimension["pass"] and fixed + sum(mults) != dim:
+            dimension = {"pass": False, "failing_partition": _weight_mapping(spec, t)}
+        tally[sum(i * mult for i, mult in enumerate(mults, 1))] += n
+    expected = {m * shift: m * n for shift, n in shift_histogram(spec, eta).items()}
+    shift_tally = {"pass": True, "checked": count, "distinct_shifts": len(expected)}
+    for key in sorted(tally.keys() | expected.keys()):
+        if tally[key] != expected.get(key, 0):
+            shift_tally = {
+                "pass": False, "m_times_shift": str(key),
+                "tallied": tally[key], "expected": expected.get(key, 0),
+            }
+            break
+    return pairing, dimension, shift_tally

@@ -162,8 +162,15 @@ def test_oracle_mode_appends_passing_section(spec_g2r3):
         "orbit_freeness",
         "dominance_pairing",
         "dimension_identity",
+        "shift_tally",
     } <= names
     assert all(entry["pass"] in (True, None) for entry in oracle["checks"])
+    # perfbench's oracle check reads every other entry's order
+    assert all(
+        type(entry["order"]) is int
+        for entry in oracle["checks"]
+        if entry["check"] != "census_bruteforce"
+    )
 
 
 def test_parse_error_is_structured_and_exits_2(tmp_path):
@@ -764,11 +771,12 @@ ORACLE_SPECS = {
         "weights": [["1/9", "2/9", "1/3", "5/9"]],
     },
 }
-# sha256 of stdout, recorded while the census still found each element's
-# order by trial and each order streamed its partitions once per check
+# sha256 of stdout, recorded when each order gained its shift_tally entry;
+# without those entries the reports are byte for byte the ones recorded
+# while the census still found each element's order by trial
 ORACLE_SHA256 = {
-    "g2r6": "677676b361cb362fe32f4f74082ae811447fdaf532a208838ffb2c1858155c6b",
-    "g3r4": "942c60e03b969f94af8cd8add6eb4ada0738ac36ca408dd4b4eb58ebcd3b2739",
+    "g2r6": "a74e6b979100d732d05fc4290322a60b25fcea2fdcde7641b1704de2be5262a7",
+    "g3r4": "ed6f67aba87be1667941450f52e5c9085bf1c6f2e11b9b8f7fb33a51923226bf",
 }
 
 
@@ -791,8 +799,9 @@ DEEP_ORACLE_SPEC = {
     ],
 }
 # sha256 of stdout at m = 5 over two points (14,400 partitions), recorded
-# while point partitions were still enumerated on Fraction weights
-DEEP_ORACLE_SHA256 = "2ce868664b2e1c4dbf697353ad25db95178c6926e5df23c4819f20d51ee0e40e"
+# with the shift_tally entries; without them, byte for byte the report of
+# the days when point partitions were enumerated on Fraction weights
+DEEP_ORACLE_SHA256 = "61a394c5fdab58d1ee7d93ee24ba9d89ae160e72a00caf9666ac973bade061b1"
 
 
 def test_rank_five_two_point_oracle_report_matches_golden_digest(tmp_path):
@@ -888,11 +897,13 @@ def test_oracle_skips_dimension_identity_exactly_without_shift_hypotheses(
     assert result.returncode == 0
     checks = json.loads(result.stdout)["oracle"]["checks"]
     identities = [c for c in checks if c["check"] == "dimension_identity"]
+    tallies = [c for c in checks if c["check"] == "shift_tally"]
     assert [c["order"] for c in identities] == divisors(doc["rank"])[1:]
+    assert [c["order"] for c in tallies] == divisors(doc["rank"])[1:]
     if name == "hypotheses_hold":
-        assert all(c["pass"] is True and c["checked"] > 0 for c in identities)
+        assert all(c["pass"] is True and c["checked"] > 0 for c in identities + tallies)
     else:
-        assert all(c["pass"] is None and "skipped" in c for c in identities)
+        assert all(c["pass"] is None and c["skipped"] for c in identities + tallies)
 
 
 def test_betti_file_with_floats_exits_2(tmp_path, spec_g2r3):

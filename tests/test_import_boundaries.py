@@ -41,11 +41,12 @@ def test_cli_imports_no_private_name_from_partitions():
 
 
 def test_oracles_reads_no_dominance_count_from_shifts():
-    # the pairing reads each partition's dominance vector itself; from the
-    # shifts layer it takes only the dimension identity's two sides
+    # the oracles count each C(i) from its definition and work out the
+    # codimension themselves; from the shifts layer they take only what
+    # they check against: the fixed dimension and the shift histogram
     names = imported_names(PACKAGE / "oracles.py", "shifts")
     assert sorted(name for _, name in names) == [
-        "fixed_component_dimension", "total_codimension"
+        "fixed_component_dimension", "shift_histogram"
     ]
 
 

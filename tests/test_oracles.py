@@ -1,12 +1,13 @@
 """The brute-force cross-checkers themselves: shapes, limits, agreement."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from parorb import cli, oracles
+from parorb import cli, oracles, partitions, shifts
 from parorb.arith import divisors
 from parorb.chenruan import BettiProvider
 from parorb.errors import GuardrailExceeded
@@ -26,8 +27,12 @@ from parorb.partitions import (
     count_partitions,
     enumerate_partitions,
 )
-from parorb.shifts import _shift_polynomial
-from parorb.torsion import canonical_element_of_order, count_elements_of_order
+from parorb.shifts import _shift_polynomial, shift_histogram
+from parorb.torsion import (
+    canonical_element_of_order,
+    count_elements_of_order,
+    element_order,
+)
 
 
 def spec_for(r, s, genus=2):
@@ -141,31 +146,29 @@ def test_partition_census_guardrail():
 def test_checkers_pass_on_valid_input():
     spec = spec_for(6, 1, genus=3)
     eta = canonical_element_of_order(6, 3, 3)
-    pairing, dimension = check_partition_identities(
-        spec, 3, eta, enumerate_partitions(spec, 3)
-    )
+    pairing, dimension, tally = check_partition_identities(spec, 3, eta)
     assert pairing["pass"] is True and pairing["checked"] == 180
     assert pairing["target"] == 12
     assert dimension["pass"] is True and dimension["checked"] == 90
+    assert tally["pass"] is True and tally["checked"] == 90
+    assert tally["distinct_shifts"] == len(shift_histogram(spec, eta))
 
 
-def test_checkers_without_eta_skip_the_dimension_identity():
+def test_checkers_without_eta_skip_the_dimension_identity_and_tally():
     spec = spec_for(6, 1, genus=3)
-    pairing, dimension = check_partition_identities(
-        spec, 3, None, enumerate_partitions(spec, 3)
+    assert check_partition_identities(spec, 3, None) == (
+        {"pass": True, "checked": 180, "target": 12}, None, None
     )
-    assert pairing == {"pass": True, "checked": 180, "target": 12}
-    assert dimension is None
 
 
-# the fused checker on r = 6, one point, m = 6: 720 partitions, five
-# pairing checks each; one chosen partition is made to fail one check
+# the checker on r = 6, one point, m = 6: 720 partitions, five pairing
+# checks each; one input is broken at m = 6 only, so that exactly one
+# check of that order fails and the orders 2 and 3 pass
 ORDER = 6
-CHOSEN = 100
 
 
-def chosen_partition(spec):
-    return list(enumerate_partitions(spec, ORDER))[CHOSEN]
+def least_partition(spec):
+    return next(iter(enumerate_partitions(spec, ORDER))).to_mapping()
 
 
 def run_oracle_cli(tmp_path, capsys, spec):
@@ -185,68 +188,117 @@ def run_oracle_cli(tmp_path, capsys, spec):
     return status, report["oracle"]["all_pass"], checks
 
 
-def test_broken_dominance_count_fails_pairing_only(monkeypatch, tmp_path, capsys):
-    spec = spec_for(6, 1, genus=3)
-    chosen = chosen_partition(spec)
-    real = WeightPartition.dominance_vector
-
-    def broken(t):
-        # C(2) up and C(3) down by one: the codimension is unchanged
-        vector = real(t)
-        if t != chosen:
-            return vector
-        return vector[:2] + (vector[2] + 1, vector[3] - 1) + vector[4:]
-
-    monkeypatch.setattr(WeightPartition, "dominance_vector", broken)
-    eta = canonical_element_of_order(6, 3, ORDER)
-    pairing, dimension = check_partition_identities(
-        spec, ORDER, eta, enumerate_partitions(spec, ORDER)
-    )
-    # i = 1 pairs C(1) with C(5); the first sum holding C(2) is at i = 2
-    assert pairing == {
-        "pass": False, "failing_partition": chosen.to_mapping(), "i": 2
-    }
-    assert dimension["pass"] is True
-    assert dimension["checked"] == count_partitions(6, ORDER, 1)
-
-    status, all_pass, checks = run_oracle_cli(tmp_path, capsys, spec)
-    assert status == 1 and all_pass is False
-    assert checks["dominance_pairing", ORDER]["i"] == 2
-    assert checks["dimension_identity", ORDER]["checked"] == 720
-    assert checks["dominance_pairing", 3]["pass"] is True
+def failing_checks(checks):
+    return sorted(key for key, entry in checks.items() if entry["pass"] is False)
 
 
-def test_broken_total_codimension_fails_dimension_only(
+def test_off_by_one_shift_histogram_fails_the_shift_tally_only(
     monkeypatch, tmp_path, capsys
 ):
     spec = spec_for(6, 1, genus=3)
-    chosen = chosen_partition(spec)
-    real = oracles.total_codimension
+    real = oracles.shift_histogram
 
-    def broken(spec_, eta, t):
-        return real(spec_, eta, t) + (1 if t == chosen else 0)
+    def broken(spec_, eta):
+        # one more orbit class at the least shift of order 6
+        histogram = real(spec_, eta)
+        if element_order(eta) == ORDER:
+            least = min(histogram)
+            histogram[least] += 1
+        return histogram
 
-    monkeypatch.setattr(oracles, "total_codimension", broken)
+    monkeypatch.setattr(oracles, "shift_histogram", broken)
     eta = canonical_element_of_order(6, 3, ORDER)
-    pairing, dimension = check_partition_identities(
-        spec, ORDER, eta, enumerate_partitions(spec, ORDER)
-    )
-    assert dimension == {"pass": False, "failing_partition": chosen.to_mapping()}
+    least = min(real(spec, eta))
+    pairing, dimension, tally = check_partition_identities(spec, ORDER, eta)
+    assert tally == {
+        "pass": False,
+        "m_times_shift": str(ORDER * least),
+        "tallied": ORDER * real(spec, eta)[least],
+        "expected": ORDER * (real(spec, eta)[least] + 1),
+    }
+    assert pairing["pass"] is True and dimension["pass"] is True
+
+    status, all_pass, checks = run_oracle_cli(tmp_path, capsys, spec)
+    assert status == 1 and all_pass is False
+    assert failing_checks(checks) == [("shift_tally", ORDER)]
+    assert checks["shift_tally", ORDER]["m_times_shift"] == str(ORDER * least)
+
+
+def test_fixed_dimension_plus_one_fails_the_dimension_identity_only(
+    monkeypatch, tmp_path, capsys
+):
+    spec = spec_for(6, 1, genus=3)
+    real = oracles.fixed_component_dimension
+
+    def broken(spec_, eta):
+        return real(spec_, eta) + (element_order(eta) == ORDER)
+
+    monkeypatch.setattr(oracles, "fixed_component_dimension", broken)
+    eta = canonical_element_of_order(6, 3, ORDER)
+    pairing, dimension, tally = check_partition_identities(spec, ORDER, eta)
+    # every class fails; the first holds the least partition
+    assert dimension == {"pass": False, "failing_partition": least_partition(spec)}
     assert pairing == {
         "pass": True,
         "checked": count_partitions(6, ORDER, 1) * (ORDER - 1),
         "target": ORDER,
     }
+    assert tally["pass"] is True
 
     status, all_pass, checks = run_oracle_cli(tmp_path, capsys, spec)
     assert status == 1 and all_pass is False
-    assert checks["dimension_identity", ORDER]["pass"] is False
+    assert failing_checks(checks) == [("dimension_identity", ORDER)]
+    assert checks["dimension_identity", ORDER]["failing_partition"] == (
+        least_partition(spec)
+    )
     assert checks["dominance_pairing", ORDER]["checked"] == 3600
-    assert checks["dimension_identity", 3]["pass"] is True
+
+
+def test_count_moved_between_c2_and_c3_fails_the_pairing_only(
+    monkeypatch, tmp_path, capsys
+):
+    # Two units of C(3) move to C(2) in a partition A, and two of C(2) to
+    # C(3) in a partition B whose S = sum_i i*C(i) is two less (at m = 6
+    # every S is odd): the pairing breaks at i = 2 (i = 1 pairs C(1) with
+    # C(5)), while the codimension, a sum of the C(i), and the shift tally,
+    # where A and B trade places, see nothing.
+    spec = spec_for(6, 1, genus=3)
+    real = oracles._dominance_by_definition
+    table = sorted(brute_force_point_partitions(range(6), ORDER))
+    by_sum = {}
+    for blocks in table:
+        by_sum.setdefault(sum(i * c for i, c in enumerate(real(blocks, ORDER))), blocks)
+    a, b = next(
+        (by_sum[total], by_sum[total - 2]) for total in by_sum if total - 2 in by_sum
+    )
+    moved_by = {a: 2, b: -2}
+
+    def moved(blocks, m):
+        counts = list(real(blocks, m))
+        if m == ORDER and blocks in moved_by:
+            counts[2] += moved_by[blocks]
+            counts[3] -= moved_by[blocks]
+        return tuple(counts)
+
+    monkeypatch.setattr(oracles, "_dominance_by_definition", moved)
+    # the labels' sorted order is the weights': the first of A and B fails
+    first = list(enumerate_partitions(spec, ORDER))[table.index(min(a, b))]
+    eta = canonical_element_of_order(6, 3, ORDER)
+    pairing, dimension, tally = check_partition_identities(spec, ORDER, eta)
+    assert pairing == {
+        "pass": False, "failing_partition": first.to_mapping(), "i": 2
+    }
+    assert dimension["pass"] is True and dimension["checked"] == 720
+    assert tally["pass"] is True and tally["checked"] == 720
+
+    status, all_pass, checks = run_oracle_cli(tmp_path, capsys, spec)
+    assert status == 1 and all_pass is False
+    assert failing_checks(checks) == [("dominance_pairing", ORDER)]
+    assert checks["dominance_pairing", ORDER]["i"] == 2
 
 
 def test_checker_reads_each_dominance_vector_at_most_twice(monkeypatch):
-    # once for the pairing, once inside total_codimension
+    # the counts come from the definition: no partition's vector is read
     spec = spec_for(6, 1, genus=3)
     real = WeightPartition.dominance_vector
     calls = []
@@ -257,17 +309,13 @@ def test_checker_reads_each_dominance_vector_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(WeightPartition, "dominance_vector", counted)
     eta = canonical_element_of_order(6, 3, ORDER)
-    pairing, dimension = check_partition_identities(
-        spec, ORDER, eta, enumerate_partitions(spec, ORDER)
-    )
-    assert pairing["pass"] is True and dimension["pass"] is True
-    assert len(calls) <= 2 * count_partitions(6, ORDER, 1)
+    results = check_partition_identities(spec, ORDER, eta)
+    assert all(result["pass"] is True for result in results)
+    assert calls == []
 
 
 def test_oracle_stream_sums_each_partition_at_most_once(tmp_path, capsys, monkeypatch):
-    # each partition's vector is summed as the stream builds it, from point
-    # vectors counted once per point partition: the pairing and the
-    # codimension both read the kept sum
+    # oracle mode streams no partition, so no point vector is summed
     real = PointPartition.dominance_vector
     calls = []
 
@@ -277,45 +325,49 @@ def test_oracle_stream_sums_each_partition_at_most_once(tmp_path, capsys, monkey
 
     monkeypatch.setattr(PointPartition, "dominance_vector", counted)
     spec = spec_for(3, 3, genus=3)
-    streamed = 0
     for m in divisors(3)[1:]:
-        del calls[:]
         eta = canonical_element_of_order(3, 3, m)
-        check_partition_identities(spec, m, eta, enumerate_partitions(spec, m))
-        assert len(calls) <= count_partitions(3, m, 3)
-        streamed += count_partitions(3, m, 3)
-    del calls[:]
+        check_partition_identities(spec, m, eta)
     status, all_pass, _ = run_oracle_cli(tmp_path, capsys, spec)
     assert status == 0 and all_pass is True
-    assert len(calls) <= streamed
+    assert calls == []
 
 
-def test_stream_stops_once_both_checks_fail(monkeypatch):
-    spec = spec_for(6, 1, genus=3)
-    chosen = chosen_partition(spec)
-    real = WeightPartition.dominance_vector
+def test_oracle_mode_walks_no_partition_product(tmp_path, capsys, monkeypatch):
+    # the identities are checked per class, from one point's table per
+    # order: nothing in oracle mode streams the product or reads the fast
+    # path's counts, and the table is built once per order for any s
+    calls = Counter()
 
-    def broken(t):
-        # every C(i), i >= 1, up by one: pairing fails at i = 1, and the
-        # codimension, their sum plus a base, grows by m - 1
-        vector = real(t)
-        if t != chosen:
-            return vector
-        return vector[:1] + tuple(c + 1 for c in vector[1:])
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(WeightPartition, "dominance_vector", broken)
-    read = []
+    for module, name in (
+        (partitions, "enumerate_partitions"),
+        (shifts, "total_codimension"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(
+        WeightPartition, "dominance_vector",
+        counting("dominance_vector", WeightPartition.dominance_vector),
+    )
+    status, all_pass, _ = run_oracle_cli(tmp_path, capsys, spec_for(3, 3, genus=3))
+    assert status == 0 and all_pass is True
+    assert calls == Counter()
 
-    def stream():
-        for t in enumerate_partitions(spec, ORDER):
-            read.append(t)
-            yield t
-
-    eta = canonical_element_of_order(6, 3, ORDER)
-    pairing, dimension = check_partition_identities(spec, ORDER, eta, stream())
-    assert pairing["pass"] is False and pairing["i"] == 1
-    assert dimension["pass"] is False
-    assert len(read) == CHOSEN + 1
+    monkeypatch.setattr(
+        oracles, "brute_force_point_partitions",
+        counting("tables", oracles.brute_force_point_partitions),
+    )
+    for s in (1, 2, 3):
+        spec = spec_for(3, s, genus=3)
+        for m in divisors(3)[1:]:
+            calls.clear()
+            check_partition_identities(spec, m, canonical_element_of_order(3, 3, m))
+            assert calls == Counter(tables=1)
 
 
 def test_census_guardrail_is_one_rule():

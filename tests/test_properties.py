@@ -21,6 +21,7 @@ from parorb.cli import _shifts_section
 from parorb.model import ModuliSpec
 from parorb.oracles import (
     PARTITION_LIMIT,
+    _partition_classes,
     brute_force_partition_census,
     check_partition_identities,
 )
@@ -35,6 +36,7 @@ from parorb.shifts import (
     dominance_count,
     eigenvalue_multiplicities,
     shift_histogram,
+    total_codimension,
 )
 from parorb.torsion import canonical_element_of_order
 
@@ -128,17 +130,38 @@ def test_partition_identity_checker_passes_on_every_partition(spec):
     for m in divisors(spec.rank)[1:]:
         count = count_partitions(spec.rank, m, s)
         eta = canonical_element_of_order(spec.rank, spec.genus, m)
-        pairing, dimension = check_partition_identities(
-            spec, m, eta, enumerate_partitions(spec, m)
-        )
+        pairing, dimension, tally = check_partition_identities(spec, m, eta)
         l = spec.rank // m
         target = s * m * l * l
         assert pairing == {"pass": True, "checked": count * (m - 1), "target": target}
         assert dimension["pass"] is True and dimension["checked"] == count
+        assert tally["pass"] is True and tally["checked"] == count
 
 
 # the twenty specs have one or two points; two more have three
 CENSUS_SPECS = SPECS + [shaped_spec(random.Random(20221020), r, 3) for r in (2, 3)]
+
+
+# oracle mode checks its identities on classes of summed point counts and
+# never streams the product; here the product is streamed, exhaustively
+ADDITIVITY_SPECS = [spec for spec in CENSUS_SPECS if spec.rank <= 6]
+
+
+@pytest.mark.parametrize("spec", ADDITIVITY_SPECS, ids=spec_id)
+def test_oracle_classes_tally_the_streamed_dominance_vectors(spec):
+    r, g = spec.rank, spec.genus
+    for m in divisors(r):
+        classes = _partition_classes(spec, m)
+        streamed = list(enumerate_partitions(spec, m))
+        assert {vector: n for vector, (n, _) in classes.items()} == Counter(
+            t.dominance_vector() for t in streamed
+        )
+        if m == 1:
+            continue
+        eta = canonical_element_of_order(r, g, m)
+        base = (m - 1) * r * r * (g - 1) // m
+        for t in streamed:
+            assert total_codimension(spec, eta, t) == base + sum(t.dominance_vector()[1:])
 
 
 @pytest.mark.parametrize(
