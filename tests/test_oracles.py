@@ -154,7 +154,7 @@ def test_checkers_pass_on_valid_input():
     assert tally["distinct_shifts"] == len(shift_histogram(spec, eta))
 
 
-def test_checkers_without_eta_skip_the_dimension_identity_and_tally():
+def test_checkers_without_eta_skip_the_dimension_identity():
     spec = spec_for(6, 1, genus=3)
     assert check_partition_identities(spec, 3, None) == (
         {"pass": True, "checked": 180, "target": 12}, None, None
@@ -345,11 +345,12 @@ def test_oracle_mode_walks_no_partition_product(tmp_path, capsys, monkeypatch):
             return real(*args)
         return counted
 
-    for module, name in (
-        (partitions, "enumerate_partitions"),
-        (shifts, "total_codimension"),
-    ):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # wherever the CLI's modules hold either name, so that no binding of it
+    # escapes the count
+    for module in (cli, oracles, partitions, shifts):
+        for name in ("enumerate_partitions", "total_codimension"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(
         WeightPartition, "dominance_vector",
         counting("dominance_vector", WeightPartition.dominance_vector),
@@ -363,10 +364,10 @@ def test_oracle_mode_walks_no_partition_product(tmp_path, capsys, monkeypatch):
         counting("tables", oracles.brute_force_point_partitions),
     )
     for s in (1, 2, 3):
-        spec = spec_for(3, s, genus=3)
-        for m in divisors(3)[1:]:
+        spec = spec_for(6, s, genus=3)
+        for m in divisors(6)[1:]:
             calls.clear()
-            check_partition_identities(spec, m, canonical_element_of_order(3, 3, m))
+            check_partition_identities(spec, m, canonical_element_of_order(6, 3, m))
             assert calls == Counter(tables=1)
 
 
