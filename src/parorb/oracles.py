@@ -11,10 +11,10 @@ something:
   counted through the pair of its halves' mask classes;
 - partitions come from de-duplicated chunked permutations instead of
   recursive combinations, and rotate by list slicing instead of index
-  arithmetic; each of a point's partitions is rotated by one once, into a
-  table of places in the point's sorted list of partitions, and its m
-  rotations are read off that table, so a combination's rotations are
-  tuples of small ints;
+  arithmetic; each partition of the labels 0..r-1 is rotated by one once,
+  into a table of places in their sorted list, one table serving every
+  point, and its m rotations are read off that table, so a combination's
+  rotations are tuples of small ints;
 - the per-partition identities walk no product of partitions: each
   dominance count C(i) is counted from its definition, pair by pair, on
   one point's permuted-and-chunked partitions of the labels 0..r-1, one
@@ -236,10 +236,11 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     """Exhaustive partition count plus rotation-orbit structure.
 
     Returns {"count", "orbit_count", "orbits_all_size_m"}; rotation is done
-    by list slicing, an independent expression of the same action.  Each
-    point's partitions come from permutations of its labels, and their m
-    rotations, as places in the point's sorted list of partitions, come
-    from one table of where a rotation by one sends each place.  A
+    by list slicing, an independent expression of the same action.  The
+    partitions of the labels 0..r-1 come from their permutations, and
+    their m rotations, as places in the sorted list of partitions, come
+    from one table of where a rotation by one sends each place; that one
+    table serves every point, as each has r distinct weights.  A
     combination's m rotations are then the zip of its points' index
     tuples, and as the indices follow the sorted order, the least of those
     is the least rotation.
@@ -247,12 +248,13 @@ def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
     _enforce_partition_limit(spec, m)
     # relabel each point's weights by their sorted positions: partitions of
     # labels and of weights correspond one-to-one, and small-int hashing
-    # keeps the exhaustive sweep affordable
-    rotations_by_point = [_rotation_indices(len(point), m) for point in spec.weights]
+    # keeps the exhaustive sweep affordable; every point has r weights, so
+    # one table serves them all
+    table = _rotation_indices(spec.rank, m)
     count = 0
     seen_orbit_min = set()
     orbits_all_size_m = True
-    for rotations in map(set, starmap(zip, product(*rotations_by_point))):
+    for rotations in map(set, starmap(zip, product(table, repeat=spec.num_points))):
         count += 1
         if len(rotations) != m:
             orbits_all_size_m = False

@@ -9,12 +9,12 @@ m; the lexicographically least member of an orbit is its representative.
 Weights within a point are distinct, so every combinatorial quantity depends
 only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen in position order, and each partition's dominance
-vector is carried down the walk, each new block adding its pair counts
-against the blocks before it.  A point's sorted weights (or, for the shifts
-rows, their strings) are attached only to each yielded partition, in one
-pass over its ranks.  A PointPartition keeps its vector, and a
-WeightPartition keeps the sum of its points' vectors, set once where it is
-built: an enumeration adds each point's vector to a running sum as the
+vector is counted from the block of each rank once its blocks are placed, by
+the same rule as for a partition built directly.  A point's sorted weights
+(or, for the shifts rows, their strings) are attached only to each yielded
+partition, in one pass over its ranks.  A PointPartition keeps its vector,
+and a WeightPartition keeps the sum of its points' vectors, set once where
+it is built: an enumeration adds each point's vector to a running sum as the
 product advances, one add per partition, and a rotation carries its source's
 vector over.  The points after the first share one walk of the ranks, which
 each relabels with its own weights.  The least rotation is always the one
@@ -30,10 +30,9 @@ contents).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import factorial
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
@@ -215,33 +214,14 @@ def _dominance_counts(blk: list[int], m: int) -> tuple[int, ...]:
     """Entry i counts the rank pairs b < a with blk[b] - blk[a] = i mod m.
 
     blk[k] is the block of the k-th smallest weight; one pass over the
-    r(r-1)/2 pairs gives every i at once.  The rule for a partition built
-    directly; enumerations carry the vector down their walk instead.
+    r(r-1)/2 pairs gives every i at once.  The one rule for a partition's
+    vector, whether it is built directly or yielded by the walk.
     """
     counts = [0] * m
     for a, blk_a in enumerate(blk):
         for blk_b in blk[:a]:
             counts[(blk_b - blk_a) % m] += 1
     return tuple(counts)
-
-
-def _pairs_above(high: tuple[int, ...], low: tuple[int, ...]) -> int:
-    """The number of pairs x > y with x in high and y in low, low sorted."""
-    return sum(map(bisect_left, repeat(low), high))
-
-
-class _Dominated(dict):
-    """A placed block's pair counts against blocks placed after it: block
-    -> _pairs_above(self.block, block), counted when first asked."""
-
-    __slots__ = ("block",)
-
-    def __init__(self, block: tuple[int, ...]):
-        self.block = block
-
-    def __missing__(self, other: tuple[int, ...]) -> int:
-        count = self[other] = _pairs_above(self.block, other)
-        return count
 
 
 def _rank_partitions(
@@ -255,56 +235,32 @@ def _rank_partitions(
     0, which lead the stream, and builds no other.
 
     The one integer-labelled core behind every per-point enumeration.
-    Blocks are chosen in position order, and the vector is carried down:
-    a block put d places after an earlier one adds their pair count c to
-    entry d and the l*l - c other pairs to entry m - d, and the pairs within
-    blocks make entry 0 start at m*C(l, 2).  A block with two or more
-    positions after it keeps a row of its counts while it is placed, since
-    the blocks below it recur across its subtree: at most m - 2 rows of at
-    most C(r - l, l) counts live at once, whatever the length of the stream.
-    The last block's count against the one before it is read once, so it
-    is taken directly.
+    Blocks are chosen in position order, and each partition's vector is
+    counted by _dominance_counts once all m are placed, so the walk keeps
+    nothing but the blocks on its path and the block of each rank.
     """
     l = r // m
-    square = l * l
+    # blk[k] is the block of rank k on the current path: placing a block
+    # overwrites only its own ranks, which no deeper block holds
+    blk = [0] * r
 
-    def rec(remaining, heads, blocks, rows, vector):
-        # rows holds the row of each block of blocks, nearest first
+    def rec(remaining, heads, blocks):
         for head in heads:
-            added = vector[:]
-            d = 1
-            for row in rows:
-                c = row[head]
-                added[d] += c
-                added[m - d] += square - c
-                d += 1
+            for k in head:
+                blk[k] = len(blocks)
+            placed = blocks + (head,)
             rest = [k for k in remaining if k not in head]
-            if len(rest) > l:
-                below = [_Dominated(head)] + rows
-                yield from rec(rest, combinations(rest, l), blocks + (head,), below, added)
-                continue
-            # the last block is what is left
-            last = tuple(rest)
-            c = _pairs_above(head, last)
-            added[1] += c
-            added[m - 1] += square - c
-            d = 2
-            for row in rows:
-                c = row[last]
-                added[d] += c
-                added[m - d] += square - c
-                d += 1
-            yield blocks + (head, last), tuple(added)
+            if rest:
+                yield from rec(rest, combinations(rest, l), placed)
+            else:
+                yield placed, _dominance_counts(blk, m)
 
     ranks = tuple(range(r))
-    vector = [m * (l * (l - 1) // 2)] + [0] * (m - 1)
-    if m == 1:
-        return iter([((ranks,), tuple(vector))])
     if anchored:
         heads = ((0,) + more for more in combinations(ranks[1:], l - 1))
     else:
         heads = combinations(ranks, l)
-    return rec(ranks, heads, (), [], vector)
+    return rec(ranks, heads, ())
 
 
 def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
@@ -407,8 +363,7 @@ def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
     Deterministic ascending order, no duplicates, nothing materialized
     beyond one per-point table for the points after the first (the first
     point streams, so single-point instances use memory that does not grow
-    with the stream: the walk keeps only the count rows of the blocks it
-    has placed).
+    with the stream: the walk keeps only the blocks it has placed).
     """
     return _partition_product(spec, m, anchored=False)
 
@@ -417,9 +372,10 @@ def induced_weights(t: WeightPartition, point_index: int) -> list[list[Fraction]
     """The m blocks at one point, each as a sorted list (ascending).
 
     These are the weight tuples the m sheets of the quotient construction
-    carry over the chosen point.
+    carry over the chosen point.  A point_index that is not an int (a bool
+    is not) is out of range.
     """
-    if not 0 <= point_index < t.num_points:
+    if type(point_index) is not int or not 0 <= point_index < t.num_points:
         raise IndexOutOfRange(
             "point index %r outside 0..%d" % (point_index, t.num_points - 1)
         )

@@ -46,7 +46,8 @@ def dominance_count(t: WeightPartition, i: int) -> int:
     Sums over all points and all block positions j the number of pairs
     (a, b) with a in block j, b in block j+i (mod m), and a > b.  A lookup
     into t.dominance_vector(), which holds C(i) for every i at once: the
-    sum of the points' vectors, taken once when t was built.
+    sum of the points' vectors, taken once when t was built.  An i that
+    is not an int (a bool is not) is out of range.
 
     >>> from fractions import Fraction as F
     >>> from .partitions import PointPartition
@@ -56,7 +57,7 @@ def dominance_count(t: WeightPartition, i: int) -> int:
     (4, 8)
     """
     counts = t.dominance_vector()
-    if not 1 <= i < len(counts):
+    if type(i) is not int or not 1 <= i < len(counts):
         raise IndexOutOfRange(
             "rotation index %r outside 1..%d" % (i, len(counts) - 1)
         )

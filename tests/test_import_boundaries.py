@@ -7,7 +7,8 @@ of the shift rule again.  cli._SECTIONS is the one map from a section to the
 rules that bound it; a rule in parorb.oracles that named a section could
 grow a second one.  The brute-force oracles take only the closed-form
 count from parorb.partitions, never its enumeration.  Importing the package
-loads no dataclasses.  And
+loads no dataclasses.  No module memoizes a function with functools'
+lru_cache or cache.  And
 outside arith.py, Fraction() is called on a variable only where an int or
 a Fraction is all it can receive.
 """
@@ -105,6 +106,31 @@ def test_no_module_imports_dataclasses_at_import_time():
                 (path.name, node.lineno)
                 for name in names
                 if name.split(".")[0] == "dataclasses"
+            ]
+    assert found == []
+
+
+def test_no_module_memoizes_with_functools_caches():
+    # a slow inner loop is made fast, not hidden behind a stack of caches
+    # that grow with every argument seen; a value kept once per object, as
+    # cached_property keeps it, is not such a cache
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                (path.name, node.lineno, name)
+                for name in names
+                if name in ("lru_cache", "cache")
             ]
     assert found == []
 

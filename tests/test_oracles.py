@@ -371,6 +371,27 @@ def test_oracle_mode_walks_no_partition_product(tmp_path, capsys, monkeypatch):
             assert calls == Counter(tables=1)
 
 
+def test_partition_census_builds_one_rotation_table_for_any_s(monkeypatch):
+    # every point has r weights, so one table of the labels' partitions and
+    # their rotations serves all s points
+    calls = []
+    real = oracles.brute_force_point_partitions
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "brute_force_point_partitions", counted)
+    for s in (1, 2, 3):
+        spec = spec_for(4, s)
+        for m in divisors(4)[1:]:
+            del calls[:]
+            census = brute_force_partition_census(spec, m)
+            assert len(calls) == 1
+            assert census["count"] == count_partitions(4, m, s)
+            assert census["orbit_count"] * m == census["count"]
+
+
 def test_census_guardrail_is_one_rule():
     # the standalone census and oracle mode refuse (6, 5) with one message
     with pytest.raises(GuardrailExceeded) as census:

@@ -261,6 +261,22 @@ def test_induced_weights_per_cover_point():
         induced_weights(t, 1)
 
 
+@pytest.mark.parametrize("index", [True, 1.0, Fraction(1), "1"], ids=repr)
+@pytest.mark.parametrize("lookup, message", [
+    (induced_weights, "point index %r outside 0..1"),
+    (dominance_count, "rotation index %r outside 1..2"),
+], ids=["induced_weights", "dominance_count"])
+def test_an_index_that_is_not_an_int_is_out_of_range(lookup, message, index):
+    # each of these equals 1 or reads as 1, an index in range; a lookup
+    # takes only an int, and refuses any other as out of range, not with a
+    # TypeError from inside the tuple
+    t = next(enumerate_partitions(spec_for(3, 2), 3))
+    with pytest.raises(IndexOutOfRange) as raised:
+        lookup(t, index)
+    assert str(raised.value) == message % (index,)
+    assert lookup(t, 1) is not None
+
+
 def test_point_partition_ordering_is_value_based():
     a = PointPartition(((Fraction(1, 4),), (Fraction(3, 4),)))
     b = PointPartition(((Fraction(3, 4),), (Fraction(1, 4),)))
@@ -398,8 +414,8 @@ def test_rank_core_matches_the_definition_exhaustively(r):
 
 
 def test_first_partition_of_rank_16_builds_no_table_of_all_block_pairs():
-    # C(16, 8)^2 = 165,636,900 pairs of halves: the walk counts only the
-    # pairs of the blocks it has placed
+    # C(16, 8)^2 = 165,636,900 pairs of halves: the walk builds no table of
+    # them, and counts each vector from the block of each rank
     tracemalloc.start()
     try:
         first = next(_rank_partitions(16, 2, anchored=False))
@@ -414,7 +430,7 @@ def test_first_partition_of_rank_16_builds_no_table_of_all_block_pairs():
 def test_a_whole_walk_keeps_no_table_that_grows_with_the_stream(r, m):
     # 12,870 and 34,650 partitions: a count or a labelled block kept for
     # every block the walk meets would take megabytes here, where the walk
-    # keeps only the count rows of the blocks it has placed
+    # keeps only the blocks it has placed and the block of each rank
     tracemalloc.start()
     try:
         walked = sum(1 for _ in _labelled_partitions(range(r), m, anchored=False))

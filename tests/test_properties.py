@@ -5,9 +5,11 @@ marked points, genus 2 or 3, a degree coprime to r, and unevenly spaced
 weights with assorted denominators.  Shapes whose product of partitions
 would be too long to walk (r >= 6 with two points) get one point.  The
 `shifts` rows are checked on one more seeded spec per squarefree r <= 7
-and s <= 3 that the CLI's partition guardrail admits.
+and s <= 3 that the CLI's partition guardrail admits, and a CLI run on seeded prime-rank
+specs, which need no Betti file, is read back against the library.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,9 +18,16 @@ from math import gcd
 import pytest
 
 from parorb.arith import divisors, format_rational
-from parorb.chenruan import BettiProvider, BettiTable, PoincareSeries, twisted_sector
+from parorb.chenruan import (
+    BettiProvider,
+    BettiTable,
+    PoincareSeries,
+    RationalGradedDimension,
+    twisted_sector,
+)
+from parorb import cli
 from parorb.cli import _shifts_section
-from parorb.model import ModuliSpec
+from parorb.model import ModuliSpec, load_spec, spec_to_mapping
 from parorb.oracles import (
     PARTITION_LIMIT,
     _partition_classes,
@@ -38,7 +47,7 @@ from parorb.shifts import (
     shift_histogram,
     total_codimension,
 )
-from parorb.torsion import canonical_element_of_order
+from parorb.torsion import canonical_element_of_order, count_elements_of_order
 
 
 def random_spec(rng):
@@ -215,3 +224,49 @@ def test_shift_rows_equal_the_library_rows(spec):
         shared = row["orbit_representative"]
         row = dict(row, orbit_representative=[list(map(list, p)) for p in shared])
         assert row == expected
+
+
+def trip_spec(rng, r, s):
+    """shaped_spec, at genus 3 for rank 2, which the CLI refuses at genus 2."""
+    spec = shaped_spec(rng, r, s)
+    if r == 2:
+        spec = ModuliSpec(genus=3, rank=2, degree=spec.degree, weights=spec.weights)
+    return spec
+
+
+_TRIP_RNG = random.Random(20221021)
+# prime ranks: the only nontrivial order is r, whose small-rank factor is a
+# point, so the cr_table rows need no Betti file
+TRIP_SPECS = [
+    trip_spec(_TRIP_RNG, r, s)
+    for r, s in [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+]
+
+
+@pytest.mark.parametrize("spec", TRIP_SPECS, ids=spec_id)
+def test_cli_report_reads_back_as_the_library(tmp_path, capsys, spec):
+    # spec -> file -> CLI JSON -> spec echo, shifts rows and cr_table rows,
+    # each equal to what the library makes of the file
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "genus": spec.genus,
+        "rank": spec.rank,
+        "degree": spec.degree,
+        "weights": [[str(w) for w in point] for point in spec.weights],
+    }))
+    status = cli.main(["--spec", str(path), "--emit", "shifts,cr_table"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 0
+    loaded = load_spec(str(path))
+    assert loaded == spec
+    assert report["spec"] == spec_to_mapping(loaded)
+    outputs = report["outputs"]
+    assert outputs["shifts"]["rows"] == list(library_rows(loaded))
+    r, g = loaded.rank, loaded.genus
+    expected = RationalGradedDimension.empty()
+    for m in divisors(r)[1:]:
+        eta = canonical_element_of_order(r, g, m)
+        sector = twisted_sector(loaded, eta).sector_graded
+        expected = expected.add(sector.scale(count_elements_of_order(r, g, m)))
+    assert outputs["cr_table"]["untwisted"] == "external-input-missing"
+    assert outputs["cr_table"]["rows"] == expected.to_rows()
