@@ -16,7 +16,7 @@ def divisors(n: int) -> list[int]:
     >>> divisors(12)
     [1, 2, 3, 4, 6, 12]
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("divisors() needs a positive integer, got %r" % (n,))
     small, large = [], []
     d = 1
@@ -30,8 +30,10 @@ def divisors(n: int) -> list[int]:
 
 
 def _require_divisor(m: int, r: int, r_positive: bool = False) -> None:
-    """Raise NotADivisor unless m >= 1 divides r (and, if asked, r >= 1)."""
-    if m < 1 or r % m or (r_positive and r < 1):
+    """Raise NotADivisor unless m >= 1 divides r (and, if asked, r >= 1);
+    both must be ints, and a bool is not one."""
+    ints = type(m) is int and type(r) is int
+    if not ints or m < 1 or r % m or (r_positive and r < 1):
         raise NotADivisor("m = %r does not divide r = %r" % (m, r))
 
 
@@ -114,7 +116,11 @@ def exact_number(value, what: str):
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as the canonical "p/q" string (q always printed)."""
+    """Render a Fraction as the canonical "p/q" string (q always printed).
+
+    Anything else is read by the exact-number rule first, so a float or a
+    bool is a ValueError.
+    """
     if not isinstance(value, Fraction):
-        value = Fraction(value)
+        value = Fraction(exact_number(value, "values"))
     return "%d/%d" % (value.numerator, value.denominator)

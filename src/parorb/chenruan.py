@@ -34,13 +34,8 @@ from .arith import exact_number, format_rational
 from .errors import ParseError, TableMissing, _Frozen
 from .fixed_loci import IntersectionSupport, fixed_locus_components, intersection_support
 from .model import ModuliSpec, _read_json, moduli_dimension
-from .partitions import WeightPartition, compute_orbit_section
-from .shifts import (
-    DegreeShift,
-    _require_shift_hypotheses,
-    degree_shift,
-    shift_histogram,
-)
+from .partitions import compute_orbit_section
+from .shifts import _require_shift_hypotheses, degree_shift, shift_histogram
 from .torsion import (
     TorsionElement,
     _nontrivial_orders,
@@ -103,6 +98,7 @@ class PoincareSeries(_Frozen):
         return cls(tuple((k, d) for k, d in enumerate(dims)))
 
     def coefficient(self, degree: int) -> int:
+        degree = _integer_degree(degree, "degrees")
         for k, d in self.coefficients:
             if k == degree:
                 return d
@@ -374,19 +370,14 @@ def small_rank_poincare(
 
 
 class SectorReport(_Frozen):
-    """One twisted sector: per-orbit-class data plus the shifted total."""
+    """One twisted sector: per-orbit-class data plus the shifted total.
+
+    per_orbit holds one (representative WeightPartition, its DegreeShift,
+    its PoincareSeries) triple per orbit class; sector_graded is a
+    RationalGradedDimension.
+    """
 
     __match_args__ = ("eta", "per_orbit", "sector_graded")
-
-    def __init__(
-        self,
-        eta: TorsionElement,
-        per_orbit: tuple[tuple[WeightPartition, DegreeShift, PoincareSeries], ...],
-        sector_graded: RationalGradedDimension,
-    ):
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "per_orbit", per_orbit)
-        object.__setattr__(self, "sector_graded", sector_graded)
 
     @property
     def orbit_class_count(self) -> int:

@@ -5,21 +5,53 @@ Everything raised on purpose derives from ParorbError so callers can catch
 one base class; the CLI maps the leaf classes onto process exit codes.
 """
 
+from operator import attrgetter
+
+
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in constructor order in __match_args__ and
-    sets them in its own __init__ with object.__setattr__.  From those names
-    come repr, == (true only between instances of the exact same class),
-    hash (of the tuple of the fields, so a field holding a dict makes
-    instances unhashable) and pickling, which rebuilds through the
-    constructor.  Attributes other than the fields, such as a memo, stay out
-    of all four.  Assigning or deleting an attribute afterwards raises
-    dataclasses.FrozenInstanceError, imported only then: the package loads
-    neither dataclasses nor the inspect and ast modules behind it.
+    A subclass lists its fields in constructor order in __match_args__.  The
+    base reads them once per class into one field getter, and from it come
+    repr, == (true only between instances of the exact same class), hash
+    (of the tuple of the fields, so a field holding a dict makes instances
+    unhashable) and pickling, which rebuilds through the constructor.  The
+    base's __init__ takes every field, by position or by keyword, and sets
+    it; a class that validates or normalizes its fields writes its own
+    __init__ and sets them with object.__setattr__.  Attributes other than
+    the fields, such as a memo, stay out of all of this.  Assigning or
+    deleting an attribute afterwards raises dataclasses.FrozenInstanceError,
+    imported only then: the package loads neither dataclasses nor the
+    inspect and ast modules behind it.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__match_args__)
+        if len(cls.__match_args__) == 1:
+            field = get
+            get = lambda obj: (field(obj),)  # attrgetter of one name is no tuple
+        cls._fields = staticmethod(get)
+
+    def __init__(self, *args, **kwargs):
+        names, owner = self.__match_args__, self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(
+                "%s() takes %d arguments, got %d" % (owner, len(names), len(args))
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError("%s() has no field %r" % (owner, name))
+            if name in values:
+                raise TypeError("%s() got field %r twice" % (owner, name))
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError("%s() missing field %r" % (owner, name))
+            object.__setattr__(self, name, values[name])
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
@@ -31,27 +63,24 @@ class _Frozen:
 
         raise FrozenInstanceError("cannot delete field %r" % (name,))
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
     def __repr__(self):
         return "%s(%s)" % (
             self.__class__.__qualname__,
             ", ".join(
-                "%s=%r" % (name, getattr(self, name)) for name in self.__match_args__
+                "%s=%r" % pair for pair in zip(self.__match_args__, self._fields(self))
             ),
         )
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self._fields(self) == other._fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self._fields(self))
 
     def __reduce__(self):
-        return self.__class__, self._astuple()
+        return self.__class__, self._fields(self)
 
 
 class ParorbError(Exception):

@@ -41,27 +41,9 @@ class ComponentReport(_Frozen):
         "free_transitive_subgroup_order",
     )
 
-    def __init__(
-        self,
-        eta_order: int,
-        partition_count: int,
-        components_per_partition: int,
-        total_components: int,
-        gamma_classes: Optional[int],
-        free_transitive_subgroup_order: Optional[int],
-    ):
-        object.__setattr__(self, "eta_order", eta_order)
-        object.__setattr__(self, "partition_count", partition_count)
-        object.__setattr__(self, "components_per_partition", components_per_partition)
-        object.__setattr__(self, "total_components", total_components)
-        object.__setattr__(self, "gamma_classes", gamma_classes)
-        object.__setattr__(
-            self, "free_transitive_subgroup_order", free_transitive_subgroup_order
-        )
-
     def to_mapping(self) -> dict:
         """Every field, keyed by its name, in order."""
-        return dict(zip(self.__match_args__, self._astuple()))
+        return dict(zip(self.__match_args__, self._fields(self)))
 
 
 def fixed_locus_components(spec: ModuliSpec, eta: TorsionElement) -> ComponentReport:

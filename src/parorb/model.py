@@ -39,10 +39,6 @@ class CapabilityFlags(_Frozen):
 
     __match_args__ = ("coprime_rank_degree", "squarefree_rank")
 
-    def __init__(self, coprime_rank_degree: bool, squarefree_rank: bool):
-        object.__setattr__(self, "coprime_rank_degree", coprime_rank_degree)
-        object.__setattr__(self, "squarefree_rank", squarefree_rank)
-
 
 class ModuliSpec(_Frozen):
     """One moduli problem: curve genus, bundle data, parabolic weights.

@@ -57,18 +57,7 @@ class PointPartition(_Frozen):
             raise ValueError("blocks must be nonempty and of equal size")
         object.__setattr__(self, "blocks", blocks)
 
-    # == and hash by the base's rule, and < by the blocks, written out: every
-    # sort, min and dict lookup of partitions runs them, where the generic
-    # getattr loop costs several times as much per call; total_ordering
-    # derives <=, > and >= from < and ==
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks,))
-
+    # total_ordering derives <=, > and >= from < and the base's ==
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.blocks < other.blocks
@@ -148,15 +137,6 @@ class WeightPartition(_Frozen):
         object.__setattr__(part, "_dominance", dominance)
         return part
 
-    # as for PointPartition: the hot comparisons read the one field directly
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.per_point == other.per_point
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.per_point,))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self.per_point < other.per_point
@@ -202,8 +182,8 @@ def count_partitions(r: int, m: int, s: int) -> int:
     >>> count_partitions(6, 6, 2)
     518400
     """
-    if r < 1 or s < 1:
-        raise ValueError("need r >= 1 and s >= 1")
+    if type(s) is not int or r < 1 or s < 1:
+        raise ValueError("need r >= 1 and an int s >= 1")
     _require_divisor(m, r)
     l = r // m
     per_point = factorial(r) // factorial(l) ** m
@@ -431,13 +411,6 @@ class OrbitSection(_Frozen):
     """
 
     __match_args__ = ("m", "partition_count", "representatives")
-
-    def __init__(
-        self, m: int, partition_count: int, representatives: tuple[WeightPartition, ...]
-    ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "partition_count", partition_count)
-        object.__setattr__(self, "representatives", representatives)
 
     @cached_property
     def _rep_index(self) -> dict[WeightPartition, int]:

@@ -96,11 +96,6 @@ class EigenvalueMultiplicityTable(_Frozen):
 
     __match_args__ = ("m", "multiplicities", "dimension")
 
-    def __init__(self, m: int, multiplicities: dict[int, int], dimension: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "dimension", dimension)
-
     @property
     def total_codimension(self) -> int:
         return sum(self.multiplicities.values())

@@ -42,17 +42,6 @@ class TorsionElement(_Frozen):
         # (modulus, exponents)
         object.__setattr__(self, "_order", modulus // gcd(modulus, *exponents))
 
-    # == and hash by the base's rule, written out: support rules and sweeps
-    # compare and hash elements in their inner loops, where the generic
-    # getattr loop costs several times as much per call
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.modulus, self.exponents) == (other.modulus, other.exponents)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.modulus, self.exponents))
-
     @property
     def genus(self) -> int:
         return len(self.exponents) // 2
@@ -100,8 +89,8 @@ def count_elements_of_order(r: int, g: int, m: int) -> int:
     >>> count_elements_of_order(6, 2, 6)
     1200
     """
-    if r < 1 or g < 1:
-        raise ValueError("need r >= 1 and g >= 1")
+    if type(g) is not int or r < 1 or g < 1:
+        raise ValueError("need r >= 1 and an int g >= 1")
     _require_divisor(m, r)
     return sum(mobius(m // e) * e ** (2 * g) for e in divisors(m))
 
@@ -111,10 +100,6 @@ class SpectralCoverData(_Frozen):
 
     __match_args__ = ("cover_genus", "prym_dimension")
 
-    def __init__(self, cover_genus: int, prym_dimension: int):
-        object.__setattr__(self, "cover_genus", cover_genus)
-        object.__setattr__(self, "prym_dimension", prym_dimension)
-
 
 def spectral_cover_data(g: int, m: int) -> SpectralCoverData:
     """Cover genus m(g-1)+1 (unramified Riemann–Hurwitz) and Prym dimension
@@ -123,8 +108,8 @@ def spectral_cover_data(g: int, m: int) -> SpectralCoverData:
     >>> spectral_cover_data(2, 2)
     SpectralCoverData(cover_genus=3, prym_dimension=1)
     """
-    if g < 1 or m < 1:
-        raise ValueError("need g >= 1 and m >= 1")
+    if type(g) is not int or type(m) is not int or g < 1 or m < 1:
+        raise ValueError("need ints g >= 1 and m >= 1, got g = %r, m = %r" % (g, m))
     return SpectralCoverData(
         cover_genus=m * (g - 1) + 1,
         prym_dimension=(m - 1) * (g - 1),
@@ -139,9 +124,6 @@ class DetTwist(_Frozen):
     """
 
     __match_args__ = ("eta_exponent",)
-
-    def __init__(self, eta_exponent: int):
-        object.__setattr__(self, "eta_exponent", eta_exponent)
 
     @property
     def is_trivial(self) -> bool:

@@ -17,9 +17,16 @@ from parorb.arith import (
 from parorb.chenruan import PoincareSeries, RationalGradedDimension, pairing_support
 from parorb.cli import main
 from parorb.eigenflag import FlaggedOperator
-from parorb.errors import ParseError
+from parorb.errors import NotADivisor, ParseError
 from parorb.model import ModuliSpec
-from parorb.torsion import TorsionElement
+from parorb.partitions import count_partitions
+from parorb.torsion import (
+    TorsionElement,
+    canonical_element_of_order,
+    count_elements_of_order,
+    pushforward_det_twist,
+    spectral_cover_data,
+)
 
 
 def naive_divisors(n):
@@ -134,3 +141,44 @@ def test_spec_file_refuses_what_parse_rational_refuses(tmp_path, capsys, bad):
 def test_format_round_trips_parse():
     for value in (Fraction(3, 4), Fraction(-1, 6), Fraction(5), Fraction(0)):
         assert parse_rational(format_rational(value)) == value
+
+
+def test_format_rational_reads_other_values_by_the_exact_number_rule():
+    assert format_rational(3) == "3/1"
+    assert format_rational("-1/6") == "-1/6"
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(ValueError, match="must be exact rationals"):
+            format_rational(bad)
+    with pytest.raises(ParseError):
+        format_rational("1e3")
+
+
+# each helper, with a float or a bool where it takes an int: Python's
+# arithmetic would answer every one (count_elements_of_order(6, 2, 2.0) was
+# 15.0, divisors(6.0) [1, 2, 3.0, 6.0], count_partitions(6, 3, 2.0) 8100.0)
+NOT_INTS = [
+    (count_elements_of_order, (6, 2, 2.0), NotADivisor),
+    (count_elements_of_order, (6.0, 2, 2), NotADivisor),
+    (count_elements_of_order, (6, 2.0, 2), ValueError),
+    (count_elements_of_order, (6, True, 2), ValueError),
+    (count_partitions, (6, True, 1), NotADivisor),
+    (count_partitions, (True, 1, 1), NotADivisor),
+    (count_partitions, (6, 3, 2.0), ValueError),
+    (count_partitions, (6, 3, True), ValueError),
+    (canonical_element_of_order, (6, 2, 3.0), NotADivisor),
+    (pushforward_det_twist, (2, 6.0), NotADivisor),
+    (divisors, (6.0,), ValueError),
+    (divisors, (True,), ValueError),
+    (spectral_cover_data, (2.5, 2), ValueError),
+    (spectral_cover_data, (2, True), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, error",
+    NOT_INTS,
+    ids=["%s%r" % (call.__name__, args) for call, args, _ in NOT_INTS],
+)
+def test_integer_helpers_refuse_floats_and_bools(call, args, error):
+    with pytest.raises(error):
+        call(*args)

@@ -57,6 +57,14 @@ def test_series_normalizes_and_merges():
     assert p.coefficient(2) == 3 and p.coefficient(17) == 0
 
 
+@pytest.mark.parametrize("degree", [2.0, True, Fraction(2), "2"], ids=repr)
+def test_series_coefficient_takes_only_an_int_degree(degree):
+    # each of these once read a coefficient: 2.0, True and Fraction(2) by
+    # comparing equal to an int degree, "2" as a missing degree
+    with pytest.raises(ValueError):
+        series(3, 0, 3).coefficient(degree)
+
+
 def test_series_rejects_negative_entries():
     with pytest.raises(ValueError):
         PoincareSeries(((-1, 2),))

@@ -23,7 +23,7 @@ from parorb.torsion import (
     pushforward_det_twist,
     spectral_cover_data,
 )
-from value_classes import ARGS, ORDERED, UNHASHABLE
+from value_classes import ARGS, FIELD_ONLY, ORDERED, UNHASHABLE
 
 CLASSES = list(ARGS)
 
@@ -98,6 +98,24 @@ def test_only_partitions_are_ordered(cls):
     if cls not in ORDERED:
         with pytest.raises(TypeError):
             a < cls(*args)
+
+
+@pytest.mark.parametrize("cls", FIELD_ONLY, ids=lambda cls: cls.__name__)
+def test_the_base_constructor_takes_each_field_once(cls):
+    args, _ = ARGS[cls]
+    first, last = cls.__match_args__[0], cls.__match_args__[-1]
+    assert "__init__" not in vars(cls)
+    assert cls(*args[:-1], **{last: args[-1]}) == cls(*args)
+    refusals = [
+        (lambda: cls(*args[:-1]), "missing field %r" % last),
+        (lambda: cls(*args, None), "takes %d arguments, got %d" % (len(args), len(args) + 1)),
+        (lambda: cls(*args, colour=None), "has no field 'colour'"),
+        (lambda: cls(*args, **{first: args[0]}), "got field %r twice" % first),
+    ]
+    for build, message in refusals:
+        with pytest.raises(TypeError) as refused:
+            build()
+        assert str(refused.value) == "%s() %s" % (cls.__qualname__, message)
 
 
 def test_partitions_order_by_their_one_field():

@@ -3,7 +3,10 @@
 The reprs are the ones the classes printed when they were dataclasses; the
 class-contract tests in test_torsion.py and test_shifts.py pin the plain
 classes to them.  ARGS maps each class to (the positional arguments of one
-instance, that instance's repr).
+instance, that instance's repr).  FIELD_ONLY lists the classes built by the
+base's constructor, which sets each field as given.  The others have an
+__init__ of their own: DegreeShift for speed, the rest to validate or
+normalize their fields.
 """
 
 from fractions import Fraction as F
@@ -99,3 +102,13 @@ ARGS = {
 UNHASHABLE = (EigenvalueMultiplicityTable,)
 # the classes with <, <=, > and >=
 ORDERED = (PointPartition, WeightPartition)
+# the classes with no __init__ of their own
+FIELD_ONLY = (
+    CapabilityFlags,
+    OrbitSection,
+    SectorReport,
+    ComponentReport,
+    SpectralCoverData,
+    DetTwist,
+    EigenvalueMultiplicityTable,
+)
