@@ -11,10 +11,10 @@ something:
   counted through the pair of its halves' mask classes;
 - partitions come from de-duplicated chunked permutations instead of
   recursive combinations, and rotate by list slicing instead of index
-  arithmetic; each partition of the labels 0..r-1 is rotated by one once,
-  into a table of places in their sorted list, one table serving every
-  point, and its m rotations are read off that table, so a combination's
-  rotations are tuples of small ints;
+  arithmetic; the census walks no product of partitions: rotation acts on
+  every point at once, so it counts, on one point's partitions of the
+  labels 0..r-1, those each rotation fixes, and Burnside's lemma gives
+  the orbits of the s-fold product from those m counts;
 - the per-partition identities walk no product of partitions: each
   dominance count C(i) is counted from its definition, pair by pair, on
   one point's permuted-and-chunked partitions of the labels 0..r-1, one
@@ -39,10 +39,10 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import partial, reduce
-from itertools import combinations, permutations, product, starmap
+from itertools import combinations, permutations, product
 from operator import add, and_
 
-from .arith import divisors, format_rational
+from .arith import _require_divisor, divisors, format_rational
 from .errors import GuardrailExceeded
 from .model import ModuliSpec, moduli_dimension
 from .partitions import count_partitions
@@ -186,6 +186,8 @@ def brute_force_order_census(r: int, g: int) -> dict[int, int]:
     >>> brute_force_order_census(2, 1) == {1: 1, 2: 3}
     True
     """
+    if type(r) is not int or type(g) is not int or r < 1 or g < 1:
+        raise ValueError("need ints r >= 1 and g >= 1, got r = %r, g = %r" % (r, g))
     _enforce_census_guardrail(r, g)
     killers = [
         sum(1 << (k - 1) for k in range(1, r + 1) if (k * e) % r == 0)
@@ -205,9 +207,11 @@ def brute_force_point_partitions(weights, m: int) -> set:
 
     Generated by chunking every permutation into consecutive blocks and
     sorting inside each block, then de-duplicating — a different route than
-    the recursive combination enumerator.
+    the recursive combination enumerator.  m must divide the number of
+    weights.
     """
     items = tuple(weights)
+    _require_divisor(m, len(items))
     l = len(items) // m
     return {
         tuple(map(tuple, map(sorted, zip(*[iter(perm)] * l))))
@@ -215,54 +219,35 @@ def brute_force_point_partitions(weights, m: int) -> set:
     }
 
 
-def _rotation_indices(size: int, m: int) -> list[tuple[int, ...]]:
-    """For each partition of the labels 0..size-1 in sorted order, the
-    places in that order of its m rotations by 0..m-1.
+def _label_partitions(spec: ModuliSpec, m: int) -> list:
+    """One point's partitions of the labels 0..r-1 into m blocks, ascending.
 
-    A rotation by one moves the blocks by list slicing, blocks[1:] +
-    blocks[:1]; the table of where it sends each place is built once, and
-    rotation i is that table applied i times.
+    Label k stands for a point's k-th smallest weight; every point has r
+    distinct weights, so this one table serves all s points.
     """
-    ordered = sorted(brute_force_point_partitions(range(size), m))
-    index = {blocks: k for k, blocks in enumerate(ordered)}
-    by_one = [index[blocks[1:] + blocks[:1]] for blocks in ordered]
-    rotated = [list(range(len(ordered)))]
-    for _ in range(m - 1):
-        rotated.append(list(map(by_one.__getitem__, rotated[-1])))
-    return list(zip(*rotated))
+    return sorted(brute_force_point_partitions(range(spec.rank), m))
 
 
 def brute_force_partition_census(spec: ModuliSpec, m: int) -> dict:
-    """Exhaustive partition count plus rotation-orbit structure.
+    """Partition count plus rotation-orbit structure, from one point's table.
 
     Returns {"count", "orbit_count", "orbits_all_size_m"}; rotation is done
-    by list slicing, an independent expression of the same action.  The
-    partitions of the labels 0..r-1 come from their permutations, and
-    their m rotations, as places in the sorted list of partitions, come
-    from one table of where a rotation by one sends each place; that one
-    table serves every point, as each has r distinct weights.  A
-    combination's m rotations are then the zip of its points' index
-    tuples, and as the indices follow the sorted order, the least of those
-    is the least rotation.
+    by list slicing, an independent expression of the same action.  It
+    moves every point's blocks at once, so a combination is fixed by
+    rotation k iff each of its points is.  With fixed[k] the entries of
+    _label_partitions that rotation k fixes, the product holds fixed[0]^s
+    partitions, fixed[k]^s of them fixed by rotation k, and Burnside's
+    lemma counts the orbits as the mean of those m numbers.  Every orbit
+    has m members iff no rotation but the identity fixes an entry.
     """
     _enforce_partition_limit(spec, m)
-    # relabel each point's weights by their sorted positions: partitions of
-    # labels and of weights correspond one-to-one, and small-int hashing
-    # keeps the exhaustive sweep affordable; every point has r weights, so
-    # one table serves them all
-    table = _rotation_indices(spec.rank, m)
-    count = 0
-    seen_orbit_min = set()
-    orbits_all_size_m = True
-    for rotations in map(set, starmap(zip, product(table, repeat=spec.num_points))):
-        count += 1
-        if len(rotations) != m:
-            orbits_all_size_m = False
-        seen_orbit_min.add(min(rotations))
+    table = _label_partitions(spec, m)
+    fixed = [sum(blocks[k:] + blocks[:k] == blocks for blocks in table) for k in range(m)]
+    s = spec.num_points
     return {
-        "count": count,
-        "orbit_count": len(seen_orbit_min),
-        "orbits_all_size_m": orbits_all_size_m,
+        "count": fixed[0] ** s,
+        "orbit_count": sum(n ** s for n in fixed) // m,
+        "orbits_all_size_m": not any(fixed[1:]),
     }
 
 
@@ -286,14 +271,13 @@ def _partition_classes(spec: ModuliSpec, m: int) -> dict:
     of spec's points' partitions into m blocks, t one partition of the
     labels 0..r-1 per point.
 
-    One point's partitions come from brute_force_point_partitions, and
-    each is counted from the definition; every point's weights are
-    distinct, so that one table, in ascending order, serves all s points.
-    C_t(i) = sum_p C_p(i), so the product's classes are the s-fold
-    convolution of the table's, and the first class holds the least t.
+    Each entry of _label_partitions, the one table serving all s points,
+    is counted from the definition.  C_t(i) = sum_p C_p(i), so the
+    product's classes are the s-fold convolution of the table's, and the
+    first class holds the least t.
     """
     table: dict = {}
-    for blocks in sorted(brute_force_point_partitions(range(spec.rank), m)):
+    for blocks in _label_partitions(spec, m):
         vector = _dominance_by_definition(blocks, m)
         if vector in table:
             table[vector][0] += 1

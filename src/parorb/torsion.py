@@ -207,6 +207,8 @@ def cyclic_subgroup_equal(eta: TorsionElement, tau: TorsionElement) -> bool:
 def canonical_element_of_order(r: int, g: int, m: int) -> TorsionElement:
     """Deterministic representative of exact order m: (r/m, 0, ..., 0)."""
     _require_divisor(m, r)
+    if type(g) is not int or g < 1:
+        raise ValueError("need an int g >= 1, got g = %r" % (g,))
     return TorsionElement(r, (r // m,) + (0,) * (2 * g - 1))
 
 

@@ -19,6 +19,7 @@ from parorb.cli import main
 from parorb.eigenflag import FlaggedOperator
 from parorb.errors import NotADivisor, ParseError
 from parorb.model import ModuliSpec
+from parorb.oracles import brute_force_order_census
 from parorb.partitions import count_partitions
 from parorb.torsion import (
     TorsionElement,
@@ -154,8 +155,10 @@ def test_format_rational_reads_other_values_by_the_exact_number_rule():
 
 
 # each helper, with a float or a bool where it takes an int: Python's
-# arithmetic would answer every one (count_elements_of_order(6, 2, 2.0) was
-# 15.0, divisors(6.0) [1, 2, 3.0, 6.0], count_partitions(6, 3, 2.0) 8100.0)
+# arithmetic would answer most (count_elements_of_order(6, 2, 2.0) was
+# 15.0, divisors(6.0) [1, 2, 3.0, 6.0], count_partitions(6, 3, 2.0) 8100.0),
+# and the rest failed some other way (brute_force_order_census(6, 5.0) met
+# the census guardrail before any check of its genus)
 NOT_INTS = [
     (count_elements_of_order, (6, 2, 2.0), NotADivisor),
     (count_elements_of_order, (6.0, 2, 2), NotADivisor),
@@ -166,6 +169,12 @@ NOT_INTS = [
     (count_partitions, (6, 3, 2.0), ValueError),
     (count_partitions, (6, 3, True), ValueError),
     (canonical_element_of_order, (6, 2, 3.0), NotADivisor),
+    (canonical_element_of_order, (6, 2.0, 2), ValueError),
+    (canonical_element_of_order, (6, True, 2), ValueError),
+    (brute_force_order_census, (6.0, 2), ValueError),
+    (brute_force_order_census, (6, 5.0), ValueError),
+    (brute_force_order_census, (2, True), ValueError),
+    (brute_force_order_census, (True, 2), ValueError),
     (pushforward_det_twist, (2, 6.0), NotADivisor),
     (divisors, (6.0,), ValueError),
     (divisors, (True,), ValueError),

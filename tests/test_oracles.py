@@ -10,7 +10,7 @@ import pytest
 from parorb import cli, oracles, partitions, shifts
 from parorb.arith import divisors
 from parorb.chenruan import BettiProvider
-from parorb.errors import GuardrailExceeded
+from parorb.errors import GuardrailExceeded, NotADivisor
 from parorb.model import ModuliSpec
 from parorb.oracles import (
     CENSUS_LIMIT,
@@ -127,13 +127,38 @@ def reference_partition_census(spec, m):
 
 @pytest.mark.parametrize(
     "r, m, s",
-    [(r, m, s) for r in range(1, 7) for m in divisors(r) for s in (1, 2)],
+    [(r, m, s) for r in range(1, 7) for m in divisors(r) for s in (1, 2)]
+    + [(r, m, 3) for r in range(1, 5) for m in divisors(r)],
 )
 def test_partition_census_matches_reference_sweep(r, m, s):
     spec = spec_for(r, s)
     census = brute_force_partition_census(spec, m)
     assert census == reference_partition_census(spec, m)
     assert census["orbit_count"] == compute_orbit_section(spec, m).orbit_count
+
+
+def test_partition_census_cost_does_not_grow_with_the_points(monkeypatch):
+    # Burnside on one point's table: 30 points of rank 4 cost what one
+    # does, where a walk of the product would meet 6^30 combinations
+    monkeypatch.setattr(oracles, "_enforce_partition_limit", lambda spec, m: None)
+    census = brute_force_partition_census(spec_for(4, 30), 2)
+    assert census == {
+        "count": 6 ** 30, "orbit_count": 6 ** 30 // 2, "orbits_all_size_m": True
+    }
+
+
+def test_point_partitions_refuse_an_order_that_does_not_divide_the_weights():
+    # (range(5), 2) gave 30 partitions of four of the five labels, and
+    # (range(3), 4) gave {()}
+    for weights, m in ((range(5), 2), (range(3), 4), (range(4), 0)):
+        with pytest.raises(NotADivisor):
+            brute_force_point_partitions(weights, m)
+
+
+def test_order_census_refuses_a_rank_or_genus_below_one():
+    for r, g in ((0, 2), (2, 0), (-6, 5)):
+        with pytest.raises(ValueError, match="need ints r >= 1 and g >= 1"):
+            brute_force_order_census(r, g)
 
 
 def test_partition_census_guardrail():
