@@ -90,6 +90,14 @@ class ModuliSpec(_Frozen):
         )
 
 
+def _require_weight_count(p: int, point: tuple, rank: int) -> None:
+    """Raise WeightCountMismatch unless point p carries exactly rank weights."""
+    if len(point) != rank:
+        raise WeightCountMismatch(
+            "point %d carries %d weights, expected rank %d" % (p, len(point), rank)
+        )
+
+
 def validate_moduli_spec(raw: ModuliSpec | Mapping[str, Any]) -> ModuliSpec:
     """Check every invariant and return the (normalized) ModuliSpec.
 
@@ -121,11 +129,7 @@ def validate_moduli_spec(raw: ModuliSpec | Mapping[str, Any]) -> ModuliSpec:
         raise ParseError("at least one marked point is required")
 
     for p, point in enumerate(spec.weights):
-        if len(point) != spec.rank:
-            raise WeightCountMismatch(
-                "point %d carries %d weights, expected rank %d"
-                % (p, len(point), spec.rank)
-            )
+        _require_weight_count(p, point, spec.rank)
         for w in point:
             if not (0 <= w < 1):
                 raise WeightOutOfRange(

@@ -10,16 +10,18 @@ Weights within a point are distinct, so every combinatorial quantity depends
 only on their ranks 0..r-1, and enumeration runs on those ranks: blocks of
 small ints are chosen in position order, and each partition's dominance
 vector is counted from the block of each rank once its blocks are placed, by
-the same rule as for a partition built directly.  A point's sorted weights
-(or, for the shifts rows, their strings) are attached only to each yielded
-partition, in one pass over its ranks.  A PointPartition keeps its vector,
-and a WeightPartition keeps the sum of its points' vectors, set once where
-it is built: an enumeration adds each point's vector to a running sum as the
-product advances, one add per partition, and a rotation carries its source's
-vector over.  The points after the first share one walk of the ranks, which
-each relabels with its own weights.  The least rotation is always the one
-that puts point 0's smallest weight (rank 0) into block 0, the only block
-starting with it.  compute_orbit_section therefore builds exactly the
+the same rule as for a partition built directly.  One product generator,
+_labelled_product, walks every weight partition: it serves
+enumerate_partitions and compute_orbit_section with the sorted weights as
+labels, and the CLI's shifts rows with their strings.  The labels are
+attached only to each yielded partition, in one pass over its ranks.  The
+points after the first share one walk of the ranks, which each relabels
+with its own labels, and each partition's points' vectors are summed as the
+product advances, one add per partition.  A PointPartition keeps its
+vector, and a WeightPartition keeps that sum, set once where it is built;
+a rotation carries its source's vector over.  The least rotation is always
+the one that puts point 0's smallest weight (rank 0) into block 0, the only
+block starting with it.  compute_orbit_section therefore builds exactly the
 partitions whose first block starts with rank 0, and orbit_canonical only
 has to find which block holds that weight.
 
@@ -32,14 +34,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, combinations
+from itertools import chain, combinations, starmap
 from math import factorial
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import _require_divisor, format_rational
 from .errors import IndexOutOfRange, _Frozen
-from .model import ModuliSpec
+from .model import ModuliSpec, _require_weight_count
 
 
 @total_ordering
@@ -243,12 +245,18 @@ def _rank_partitions(
     return rec(ranks, heads, ())
 
 
-def _sorted_distinct(weights: Iterable[Fraction]) -> list[Fraction]:
-    """One point's weights in rank order; tied weights raise ValueError."""
-    ranked = sorted(weights)
-    if any(a == b for a, b in zip(ranked, ranked[1:])):
-        raise ValueError("weights within a point must be distinct")
-    return ranked
+def _sorted_distinct(spec: ModuliSpec) -> list[list[Fraction]]:
+    """Each point's weights in rank order, after the one per-point check: a
+    point without exactly spec.rank weights raises WeightCountMismatch, as
+    validation does, and tied weights raise ValueError."""
+    points = []
+    for p, weights in enumerate(spec.weights):
+        _require_weight_count(p, weights, spec.rank)
+        ranked = sorted(weights)
+        if any(a == b for a, b in zip(ranked, ranked[1:])):
+            raise ValueError("weights within a point must be distinct")
+        points.append(ranked)
+    return points
 
 
 def _labelled_partitions(
@@ -272,69 +280,54 @@ def _labelled_partitions(
         yield tuple(zip(*[iter(map(show, chain.from_iterable(blocks)))] * l)), vector
 
 
-def _point_partitions(
-    weights: Iterable[Fraction],
-    m: int,
-    anchored: bool = False,
-    ranked: Optional[Iterable[tuple]] = None,
-) -> Iterator[PointPartition]:
-    """One point's ordered block partitions, ascending.
+def _labelled_product(
+    labels: Sequence[Sequence], m: int, anchored: bool, make: Optional[Callable] = None
+) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """(one entry per point, the sum of the points' dominance vectors) of
+    each weight partition, ascending; labels[p] labels point p's ranks.
 
-    Enumeration runs on the ranks of the weights, or relabels ranked, a
-    walk already made.  The sorted weights are attached only to the blocks
-    of each yielded partition, whose dominance vector comes from the ranks,
-    with no sort.  anchored keeps only the partitions with the smallest
-    weight in block 0.  Tied weights raise ValueError before anything is
-    yielded.
+    An entry is make(blocks, vector), or the labelled blocks when make is
+    None.  Point 0 streams, anchored or not.  The ranks are walked once
+    more, for one list that every later point relabels, so each later
+    point's entries are built once and shared.  The vector sum is carried
+    down the points, so each partition costs one add, and an earlier
+    point's add is shared by every partition below it.
     """
-    labels = _sorted_distinct(weights)
-    for blocks, vector in _labelled_partitions(labels, m, anchored, ranked):
-        yield PointPartition._enumerated(blocks, vector)
 
+    def entries(point, anchored, ranked=None):
+        for blocks, vector in _labelled_partitions(point, m, anchored, ranked):
+            yield (blocks if make is None else make(blocks, vector)), vector
 
-def _summed_product(
-    lists: list[list[tuple[PointPartition, tuple[int, ...]]]],
-    points: tuple[PointPartition, ...],
-    vector: tuple[int, ...],
-) -> Iterator[WeightPartition]:
-    """points extended by one partition from each list of (partition, its
-    dominance vector), in product order, each with vector plus the added
-    vectors.  The sum is carried down the levels, so each partition built
-    costs one add, and an earlier level's add is shared by every partition
-    below it."""
-    first, rest = lists[0], lists[1:]
-    for p, p_vector in first:
-        summed = tuple(map(add, vector, p_vector))
-        if rest:
-            yield from _summed_product(rest, points + (p,), summed)
+    def extend(level, points, vector):
+        last = level + 1 == len(tails)
+        for entry, p_vector in tails[level]:
+            summed = tuple(map(add, vector, p_vector))
+            if last:
+                yield points + (entry,), summed
+            else:
+                yield from extend(level + 1, points + (entry,), summed)
+
+    head, *rest = labels
+    tails = []
+    if rest:
+        ranked = list(_rank_partitions(len(head), m, anchored=False))
+        tails = [list(entries(point, False, ranked)) for point in rest]
+        del ranked  # only the relabelled lists live on while point 0 streams
+    for entry, vector in entries(head, anchored):
+        if tails:
+            yield from extend(0, (entry,), vector)
         else:
-            yield WeightPartition._enumerated(points + (p,), summed)
+            yield (entry,), vector
 
 
 def _partition_product(
     spec: ModuliSpec, m: int, anchored: bool
 ) -> Iterator[WeightPartition]:
-    """The product of the per-point partitions, ascending; point 0 streams,
-    anchored or not.  The ranks are walked once more, for one list that
-    every later point relabels with its weights, so each later point's list
-    is built once and shared.  Each partition gets its dominance vector as
-    it is built: point 0's own when it is the only point, else the running
-    sum of _summed_product."""
+    """_labelled_product over the sorted weights, as WeightPartitions."""
     _require_divisor(m, spec.rank)
-    head_weights, *tail_weights = spec.weights
-    tail_lists = []
-    if tail_weights:
-        ranked = list(_rank_partitions(spec.rank, m, anchored=False))
-        tail_lists = [
-            [(p, p.dominance_vector()) for p in _point_partitions(weights, m, ranked=ranked)]
-            for weights in tail_weights
-        ]
-        del ranked  # only the relabelled lists live on while point 0 streams
-    for head in _point_partitions(head_weights, m, anchored):
-        if tail_lists:
-            yield from _summed_product(tail_lists, (head,), head.dominance_vector())
-        else:
-            yield WeightPartition._enumerated((head,), head.dominance_vector())
+    labels = _sorted_distinct(spec)
+    points = _labelled_product(labels, m, anchored, PointPartition._enumerated)
+    return starmap(WeightPartition._enumerated, points)
 
 
 def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
@@ -343,7 +336,8 @@ def enumerate_partitions(spec: ModuliSpec, m: int) -> Iterator[WeightPartition]:
     Deterministic ascending order, no duplicates, nothing materialized
     beyond one per-point table for the points after the first (the first
     point streams, so single-point instances use memory that does not grow
-    with the stream: the walk keeps only the blocks it has placed).
+    with the stream: the walk keeps only the blocks it has placed).  m and
+    each point's weights are checked when it is called, before the stream.
     """
     return _partition_product(spec, m, anchored=False)
 
@@ -366,8 +360,10 @@ def galois_rotate(t: WeightPartition, i: int) -> WeightPartition:
     """Rotate block positions by i: output block j holds input block j+i mod m.
 
     Rotating by m (or 0) returns an equal partition; rotations compose
-    additively.
+    additively.  An i that is not an int (a bool is not) is out of range.
     """
+    if type(i) is not int:
+        raise IndexOutOfRange("rotation amount %r is not an int" % (i,))
     m = t.m
     i %= m
     if i == 0:

@@ -14,16 +14,19 @@ sum_i (i/m) * mult(i).  The dimension bookkeeping
     moduli_dimension = fixed_component_dimension + total_codimension
 
 holds exactly for every partition.  The rule is written here once: the
-CLI's shifts rows come from _orbit_classes, and shift_histogram counts the
-classes of each shift from _shift_polynomial, a dynamic programme over how
-full each block is, which builds no partition at all.
+CLI's shifts rows come from _orbit_classes, which streams the weight
+strings through the library's one product walk, partitions._labelled_product,
+and reads each class's shift and multiplicities off the summed dominance
+vector it yields.  shift_histogram counts the classes of each shift from
+_shift_polynomial, a dynamic programme over how full each block is, which
+builds no partition at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterator
 
 from .arith import format_rational
@@ -35,7 +38,7 @@ from .errors import (
     _Frozen,
 )
 from .model import ModuliSpec, moduli_dimension
-from .partitions import WeightPartition, _labelled_partitions, _sorted_distinct
+from .partitions import WeightPartition, _labelled_product, _sorted_distinct
 from .partitions import orbit_canonical
 from .torsion import TorsionElement, _require_rank_modulus, spectral_cover_data
 
@@ -255,25 +258,20 @@ def total_codimension(
 def _orbit_classes(spec: ModuliSpec, eta: TorsionElement) -> Iterator[tuple]:
     """(per-point blocks of weight strings, shift numerator and denominator
     in lowest terms, multiplicities) of each rotation-orbit class, in
-    compute_orbit_section's order: the product of each point's partitions,
-    point 0's anchored.  Each weight is formatted once, and each point's
-    blocks are one tuple shared by every class using it.
+    compute_orbit_section's order: partitions._labelled_product over the
+    weight strings, point 0 anchored.  S = sum_i i*C(i) and the
+    multiplicities are read off the summed vector it yields.  Each weight
+    is formatted once, and each point's blocks are one tuple shared by
+    every class using it.
     """
     m = _require_shift_hypotheses(spec, eta)
     base = _base_multiplicity(spec, m)
     shift_base = base * (m * (m - 1) // 2)
-    points = []
-    for p, weights in enumerate(spec.weights):
-        labels = list(map(format_rational, _sorted_distinct(weights)))
-        points.append([
-            (blocks, vector[1:], sum(i * c for i, c in enumerate(vector)))
-            for blocks, vector in _labelled_partitions(labels, m, anchored=p == 0)
-        ])
-    for combo in product(*points):
-        blocks, counts, sums = zip(*combo)
-        numerator = shift_base + sum(sums)
+    labels = [list(map(format_rational, point)) for point in _sorted_distinct(spec)]
+    for blocks, vector in _labelled_product(labels, m, anchored=True):
+        numerator = shift_base + sum(map(mul, vector, range(m)))
         d = gcd(numerator, m)
-        yield blocks, numerator // d, m // d, [base + sum(c) for c in zip(*counts)]
+        yield blocks, numerator // d, m // d, [base + c for c in vector[1:]]
 
 
 def _shift_polynomial(r: int, m: int) -> dict[int, int]:
@@ -310,7 +308,7 @@ def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int
     ranks and not on a rotation of them.  So the counts are the s-fold
     convolution of _shift_polynomial(r, m), divided by m, the size of
     every orbit.  No partition is built; each point's weights are still
-    checked for ties.  Keys ascend.
+    checked for their count and for ties.  Keys ascend.
 
     >>> from fractions import Fraction as F
     >>> spec = ModuliSpec(genus=2, rank=6, degree=1,
@@ -320,8 +318,7 @@ def shift_histogram(spec: ModuliSpec, eta: TorsionElement) -> dict[Fraction, int
     [('52/3', 2), ('53/3', 7), ('18', 12), ('55/3', 7), ('56/3', 2)]
     """
     m = _require_shift_hypotheses(spec, eta)
-    for weights in spec.weights:
-        _sorted_distinct(weights)
+    _sorted_distinct(spec)
     polynomial = _shift_polynomial(spec.rank, m)
     totals = {0: 1}
     for _ in spec.weights:

@@ -1,9 +1,11 @@
 """The CLI reaches the partition core only through its public names, and
 the guard rules know nothing of the CLI's sections.
 
-The rows of the shifts section are built by shifts._orbit_classes; a CLI
-that imported a private helper of parorb.partitions could grow its own copy
-of the shift rule again.  cli._SECTIONS is the one map from a section to the
+The rows of the shifts section are built by shifts._orbit_classes, which
+streams from the library's one product walk, partitions._labelled_product;
+no module but parorb.partitions walks the ranks itself, and a CLI that
+imported a private helper of parorb.partitions could grow its own copy of
+the shift rule again.  cli._SECTIONS is the one map from a section to the
 rules that bound it; a rule in parorb.oracles that named a section could
 grow a second one.  The brute-force oracles take only the closed-form
 count from parorb.partitions, never its enumeration.  Importing the package
@@ -40,6 +42,28 @@ def test_cli_imports_no_private_name_from_partitions():
     names = imported_names(PACKAGE / "cli.py", "partitions")
     assert names, "cli.py no longer imports from parorb.partitions"
     assert [(line, name) for line, name in names if name.startswith("_")] == []
+
+
+def test_only_partitions_walks_the_ranks():
+    # one product walk, partitions._labelled_product, serves the library
+    # and the shifts rows; a module that reached the rank walk itself could
+    # grow a second one
+    walk = {"_rank_partitions", "_labelled_partitions"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "partitions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names if name in walk]
+    assert found == []
 
 
 def test_oracles_reads_no_dominance_count_from_shifts():

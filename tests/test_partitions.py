@@ -10,14 +10,13 @@ from math import factorial
 import pytest
 
 from parorb import partitions
-from parorb.errors import IndexOutOfRange
+from parorb.errors import IndexOutOfRange, WeightCountMismatch
 from parorb.model import ModuliSpec
 from parorb.oracles import brute_force_point_partitions
 from parorb.partitions import (
     PointPartition,
     WeightPartition,
     _labelled_partitions,
-    _point_partitions,
     _rank_partitions,
     compute_orbit_section,
     count_partitions,
@@ -26,7 +25,8 @@ from parorb.partitions import (
     induced_weights,
     orbit_canonical,
 )
-from parorb.shifts import dominance_count
+from parorb.shifts import _orbit_classes, dominance_count, shift_histogram
+from parorb.torsion import TorsionElement
 
 from value_classes import ARGS
 
@@ -211,6 +211,26 @@ def test_tied_weights_are_refused_before_enumeration(weights):
         compute_orbit_section(spec, 2)
 
 
+@pytest.mark.parametrize("count", [3, 7, 9])
+def test_a_point_with_the_wrong_number_of_weights_is_refused(count):
+    # unvalidated spec: 9 weights used to be walked in blocks of 3, 7 lost
+    # the 7th weight, and 3 raised a bare IndexError or made blocks of one
+    weights = (DISTINCT_POINT + (Fraction(8, 9), Fraction(9, 10)),)
+    weights += (tuple(Fraction(k, count + 1) for k in range(1, count + 1)),)
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=weights)
+    eta = TorsionElement(6, (2, 0, 0, 0))
+    message = "point 1 carries %d weights, expected rank 6" % count
+    for call in (
+        lambda: next(enumerate_partitions(spec, 3)),
+        lambda: compute_orbit_section(spec, 3),
+        lambda: next(_orbit_classes(spec, eta)),
+        lambda: shift_histogram(spec, eta),
+    ):
+        with pytest.raises(WeightCountMismatch) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("r", range(1, 8))
 def test_point_partitions_exhaustively_against_brute_force(r):
     # every m | r, on unevenly spaced weights given out of order
@@ -218,10 +238,12 @@ def test_point_partitions_exhaustively_against_brute_force(r):
     weights = uneven_spec(r, 1, seed=7000 + r).weights[0]
     shuffled = list(weights)
     rng.shuffle(shuffled)
+    spec = ModuliSpec(genus=2, rank=r, degree=1, weights=(tuple(shuffled),))
     for m in (d for d in range(1, r + 1) if r % d == 0):
-        every = list(_point_partitions(shuffled, m))
+        every = [t.per_point[0] for t in enumerate_partitions(spec, m)]
         assert [p.blocks for p in every] == sorted(brute_force_point_partitions(weights, m))
-        anchored = list(_point_partitions(shuffled, m, anchored=True))
+        section = compute_orbit_section(spec, m)
+        anchored = [t.per_point[0] for t in section.representatives]
         assert anchored == [p for p in every if p.blocks[0][0] == weights[0]]
         assert len(anchored) == count_partitions(r, m, 1) // m
         for p in every:
@@ -265,7 +287,8 @@ def test_induced_weights_per_cover_point():
 @pytest.mark.parametrize("lookup, message", [
     (induced_weights, "point index %r outside 0..1"),
     (dominance_count, "rotation index %r outside 1..2"),
-], ids=["induced_weights", "dominance_count"])
+    (galois_rotate, "rotation amount %r is not an int"),
+], ids=["induced_weights", "dominance_count", "galois_rotate"])
 def test_an_index_that_is_not_an_int_is_out_of_range(lookup, message, index):
     # each of these equals 1 or reads as 1, an index in range; a lookup
     # takes only an int, and refuses any other as out of range, not with a

@@ -32,6 +32,7 @@ from parorb.partitions import (
 )
 from parorb.shifts import (
     DegreeShift,
+    _orbit_classes,
     degree_shift,
     dominance_count,
     _shift_polynomial,
@@ -476,6 +477,30 @@ def test_shift_histogram_builds_no_point_partition(monkeypatch):
     weights = uneven_weights(random.Random(4), 5, 2)
     prime = ModuliSpec(genus=2, rank=5, degree=1, weights=weights)
     assert chen_ruan_table(prime).to_rows()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_the_rows_walk_the_ranks_at_most_twice(monkeypatch, s):
+    # the rows stream from the library's product walk: once for point 0,
+    # and once for the one list that every later point relabels; the first
+    # 20,000 rows pass point 0's second partition in all but s = 3, m = 6,
+    # whose 62,208,000 rows are too many to walk here
+    real = partitions._rank_partitions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "_rank_partitions", counted)
+    weights = uneven_weights(random.Random(60 + s), 6, s)
+    spec = ModuliSpec(genus=2, rank=6, degree=1, weights=weights)
+    for m in divisors(6)[1:]:
+        del calls[:]
+        rows = _orbit_classes(spec, canonical_element_of_order(6, 2, m))
+        walked = sum(1 for _ in itertools.islice(rows, 20_000))
+        assert walked == min(count_partitions(6, m, s) // m, 20_000)
+        assert len(calls) == min(s, 2)
 
 
 def rank_shapes(largest):
